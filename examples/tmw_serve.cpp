@@ -26,8 +26,6 @@
 ///                         one pool and cache, each with byte-identical
 ///                         verdict streams, backpressure for slow
 ///                         readers, and mid-batch disconnect cleanup.
-///   --serial              with --listen: the serial one-connection-at-a-
-///                         time reference loop instead of the multiplexer.
 ///   --max-clients N       concurrent connection cap for the multiplexer
 ///                         (default 64).
 ///   --accept-limit N      exit after serving N connections (0 = run
@@ -159,7 +157,6 @@ void printMuxStats(const server::MuxStats &M) {
 int main(int Argc, char **Argv) {
   unsigned Jobs = 1;
   bool Telemetry = false, Stats = false, PrintCorpusBatch = false;
-  bool Serial = false;
   std::string ListenPath, ConnectPath, StorePath;
   server::MuxOptions Mux;
 
@@ -191,8 +188,6 @@ int main(int Argc, char **Argv) {
       StorePath = Argv[++I];
     } else if (std::strncmp(A, "--store=", 8) == 0) {
       StorePath = A + 8;
-    } else if (std::strcmp(A, "--serial") == 0) {
-      Serial = true;
     } else if (std::strcmp(A, "--telemetry") == 0) {
       Telemetry = true;
     } else if (std::strcmp(A, "--stats") == 0) {
@@ -245,8 +240,6 @@ int main(int Argc, char **Argv) {
   int Exit;
   if (ListenPath.empty()) {
     Exit = server::serveStdio(Server);
-  } else if (Serial) {
-    Exit = server::serveUnixSocket(Server, ListenPath, Mux.AcceptLimit);
   } else {
     server::ConnectionMultiplexer M(Server, Mux);
     Exit = M.serve(ListenPath);

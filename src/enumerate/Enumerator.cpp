@@ -80,8 +80,6 @@ struct BaseSearch {
   Execution X;
   /// Thread of each event and position within the thread.
   std::vector<unsigned> ThreadOf, PosOf, ThreadSize;
-  /// Shard filter over the first branching decision (largest-thread size).
-  unsigned Shard = 0, NumShards = 1;
   bool Aborted = false;
 
   BaseSearch(const Vocabulary &V, unsigned Num,
@@ -118,10 +116,6 @@ struct BaseSearch {
 void BaseSearch::run() {
   forEachSkeletonImpl(Num, V.MaxThreads,
                       [&](const std::vector<unsigned> &Sizes) {
-    // Static sharding partitions the space on the very first skeleton
-    // decision only (the largest-thread size, dealt round-robin).
-    if ((Sizes[0] - 1) % NumShards != Shard)
-      return true;
     materializeSkeleton(Sizes);
     chooseEvents(0, 0);
     return !Aborted;
@@ -516,17 +510,6 @@ struct TxnSearch {
 bool ExecutionEnumerator::forEachBase(
     const std::function<bool(Execution &)> &F) const {
   BaseSearch S(Vocab, Num, F);
-  S.run();
-  return !S.Aborted;
-}
-
-bool ExecutionEnumerator::forEachBaseSharded(
-    unsigned Shard, unsigned NumShards,
-    const std::function<bool(Execution &)> &F) const {
-  assert(NumShards > 0 && Shard < NumShards && "bad shard index");
-  BaseSearch S(Vocab, Num, F);
-  S.Shard = Shard;
-  S.NumShards = NumShards;
   S.run();
   return !S.Aborted;
 }

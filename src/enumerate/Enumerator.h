@@ -13,27 +13,21 @@
 /// one of which is a write (an access without a communication edge cannot
 /// lie on a violation cycle), and fences are interior to their thread.
 ///
-/// The search space can be partitioned for parallel enumeration two ways:
-///
-///  * statically (`forEachBaseSharded`): the first branching decision of
-///    the canonical-skeleton DFS (the size of the largest thread) is dealt
-///    round-robin across shards — simple, but shard sizes are wildly
-///    unequal, so it is kept as the load-balance baseline;
-///  * by *prefix tasks* (`forEachSkeleton` / `expandPrefix` /
-///    `forEachBasePrefixed`): a `BasePrefix` names one subtree of the DFS
-///    — a complete skeleton plus the first K event labels — and can be
-///    either *expanded* into one child per admissible label of event K or
-///    *resumed*, visiting exactly the bases below it. The children of a
-///    prefix are produced by the same choice generator the plain DFS
-///    recursion uses, so for any expansion depth the frontier partitions
-///    the base space exactly (no base visited twice, none missed) and the
-///    visit order below one prefix equals the sequential DFS order. This
-///    is the resumability contract the work-stealing synthesis
-///    (`enumerate/WorkQueue.h`, `synthesizeForbid`) and the canonical-hash
-///    dedup depend on; `tests/sharding_differential_test.cpp` pins it.
-///
-/// Either way, each parallel unit runs with an independent `Execution`
-/// buffer and `ExecutionAnalysis` arena; nothing is shared.
+/// The search space is partitioned for parallel enumeration by *prefix
+/// tasks* (`forEachSkeleton` / `expandPrefix` / `forEachBasePrefixed`): a
+/// `BasePrefix` names one subtree of the DFS — a complete skeleton plus
+/// the first K event labels — and can be either *expanded* into one child
+/// per admissible label of event K or *resumed*, visiting exactly the
+/// bases below it. The children of a prefix are produced by the same
+/// choice generator the plain DFS recursion uses, so for any expansion
+/// depth the frontier partitions the base space exactly (no base visited
+/// twice, none missed) and the visit order below one prefix equals the
+/// sequential DFS order. This is the resumability contract the
+/// work-stealing synthesis (`enumerate/WorkQueue.h`, `synthesizeForbid`)
+/// and the canonical-hash dedup depend on;
+/// `tests/sharding_differential_test.cpp` pins it. Each task runs with an
+/// independent `Execution` buffer and `ExecutionAnalysis` arena; nothing
+/// is shared.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -84,14 +78,6 @@ public:
   /// the enumeration (e.g. on a time budget); the result is false when
   /// aborted.
   bool forEachBase(const std::function<bool(Execution &)> &F) const;
-
-  /// Shard \p Shard of \p NumShards of `forEachBase`: visits exactly the
-  /// bases whose first skeleton decision (the largest-thread size) falls to
-  /// this shard, so the union over all shards is the full space and the
-  /// shards are pairwise disjoint. Shards share nothing and may run on
-  /// concurrent threads.
-  bool forEachBaseSharded(unsigned Shard, unsigned NumShards,
-                          const std::function<bool(Execution &)> &F) const;
 
   /// Invoke \p F on every canonical skeleton (non-increasing thread-size
   /// vector summing to `numEvents()`, at most `MaxThreads` parts) in DFS

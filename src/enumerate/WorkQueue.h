@@ -16,10 +16,15 @@
 ///    the consumer (typically until `estimateCost` falls under a target),
 ///    so K adapts to the local branching structure.
 ///
-///  * `WorkQueue<size_t>` — the batch query engine (query/QueryEngine):
-///    tasks are request indices of a litmus batch; requests are monolithic
-///    (never split), so the pool degenerates to a balanced distributor
-///    with stealing.
+///  * `WorkQueue<ServerTask>` — the resident query server
+///    (server/QueryServer): a *persistent* pool whose tasks are
+///    (batch, request-index) pairs of every in-flight batch; requests are
+///    monolithic (never split), so the pool acts as a balanced
+///    distributor with stealing across rival batches.
+///
+/// One-shot query batches (`QueryEngine::run`) need no pool: their
+/// requests are never split, so workers claim indices from one shared
+/// atomic counter.
 ///
 /// Each worker owns a deque: locally produced children are pushed and
 /// popped LIFO (depth-first locality, bounded memory), and an idle worker
@@ -45,15 +50,15 @@
 
 namespace tmw {
 
-/// Per-worker load telemetry for one pool run (one entry per worker or
-/// static shard). Consumers surface it through `ForbidSuite::Workers` and
+/// Per-worker load telemetry for one parallel run (one entry per worker).
+/// Consumers surface it through `ForbidSuite::Workers` and
 /// `BatchTelemetry::Workers`.
 struct WorkerLoad {
   /// Wall-clock seconds this worker spent processing tasks.
   double BusySeconds = 0;
   /// Tasks processed / tasks split into children / tasks obtained by
-  /// stealing. Static sharding runs one task per shard and never splits
-  /// or steals; query batches never split.
+  /// stealing. Query batches never split; one-shot batches claim request
+  /// indices from a shared counter, so they never steal either.
   uint64_t Tasks = 0, Splits = 0, Steals = 0;
   /// Work units this worker visited: base executions for the synthesis
   /// search, candidate executions for the query engine.
@@ -61,11 +66,11 @@ struct WorkerLoad {
 };
 
 /// Work-stealing pool of \p Task values. Thread-safe; one instance per
-/// parallel search or batch — or, in persistent mode, one per resident
-/// server: a persistent pool never reports exhaustion (an empty pool
-/// parks its workers until `submit` feeds it or `cancel` shuts it down),
-/// so tasks from many concurrent batches can flow through one set of
-/// long-lived workers.
+/// parallel search — or, in persistent mode, one per resident server: a
+/// persistent pool never reports exhaustion (an empty pool parks its
+/// workers until `submit` feeds it or `cancel` shuts it down), so tasks
+/// from many concurrent batches can flow through one set of long-lived
+/// workers.
 template <class Task> class WorkQueue {
 public:
   explicit WorkQueue(unsigned NumWorkers, bool Persistent = false)
@@ -168,27 +173,6 @@ public:
       Cv.notify_all(); // possible termination: wake everyone to re-check
   }
 
-  /// Rearm a drained (or cancelled) pool for the next batch: clears the
-  /// cancel flag and rewinds the seed cursor so `seed` deals from worker
-  /// 0 again. The resident-server path reuses one pool across batches
-  /// through this instead of constructing a queue (and its deques) per
-  /// call. Precondition: quiescent — every worker has returned from its
-  /// pop loop, so nothing is queued or in flight; call it between
-  /// batches, never concurrently with pop/push/finish.
-  void reset() {
-    std::lock_guard<std::mutex> Lock(Mu);
-    assert(InFlight == 0 && "reset while a task is still being processed");
-#ifndef NDEBUG
-    for (const std::deque<Task> &D : Deques)
-      assert((Cancelled || D.empty()) && "reset with queued tasks");
-#endif
-    for (std::deque<Task> &D : Deques)
-      D.clear(); // a cancelled pool may still hold its dropped tasks
-    Cancelled = false;
-    SeedCursor = 0;
-    SubmitCursor = 0;
-  }
-
   /// Abort: wake every blocked worker and make all pops return false.
   /// Tasks still queued are dropped.
   void cancel() {
@@ -202,10 +186,6 @@ public:
   bool cancelled() const {
     std::lock_guard<std::mutex> Lock(Mu);
     return Cancelled;
-  }
-
-  unsigned numWorkers() const {
-    return static_cast<unsigned>(Deques.size());
   }
 
 private:

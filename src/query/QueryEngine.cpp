@@ -15,6 +15,7 @@
 #include "store/VerdictStore.h"
 
 #include <algorithm>
+#include <atomic>
 #include <thread>
 
 using namespace tmw;
@@ -281,41 +282,14 @@ CheckResponse evaluateRequest(const CheckRequest &R,
 } // namespace
 
 BatchRun::BatchRun(std::span<const CheckRequest> Requests,
-                   WorkQueue<size_t> &Q, SessionCache *Cache,
-                   std::function<void(const CheckResponse &)> OnResult,
-                   EvalStrategy Strategy, VerdictStore *Store,
-                   bool Specialize)
-    : BatchRun(Requests, Q.numWorkers(), Cache, std::move(OnResult),
-               Strategy, Store, Specialize) {
-  this->Q = &Q;
-  // One monolithic task per request: the pool acts as a balanced
-  // distributor with stealing.
-  for (size_t I = 0; I < Requests.size(); ++I)
-    Q.seed(I);
-}
-
-BatchRun::BatchRun(std::span<const CheckRequest> Requests,
-                   unsigned NumWorkers, SessionCache *Cache,
-                   std::function<void(const CheckResponse &)> OnResult,
-                   EvalStrategy Strategy, VerdictStore *Store,
-                   bool Specialize)
-    : Requests(Requests), Cache(Cache), OnResult(std::move(OnResult)),
-      Strategy(Strategy), Store(Store), Specialize(Specialize),
+                   unsigned NumWorkers, const BatchOptions &Opts,
+                   std::function<void(const CheckResponse &)> OnResult)
+    : Requests(Requests), Opts(Opts), OnResult(std::move(OnResult)),
       Results(Requests.size()), Done(Requests.size(), 0),
       Loads(NumWorkers), T0(std::chrono::steady_clock::now()) {
   // Cache-less planned batches still plan each distinct spec set once.
-  if (!Cache && Strategy == EvalStrategy::Planned)
+  if (!Opts.Cache && Opts.Strategy == EvalStrategy::Planned)
     BatchPlans.emplace();
-}
-
-void BatchRun::work(unsigned Worker,
-                    std::optional<ExecutionAnalysis> &Arena) {
-  size_t I = 0;
-  bool Stolen = false;
-  while (Q->pop(Worker, I, Stolen)) {
-    runOne(I, Worker, Arena, Stolen);
-    Q->finish(Worker);
-  }
 }
 
 bool BatchRun::runOne(size_t I, unsigned Worker,
@@ -325,10 +299,11 @@ bool BatchRun::runOne(size_t I, unsigned Worker,
   ++Loads[Worker].Tasks;
   Loads[Worker].Steals += Stolen;
   if (!Skip) {
-    Results[I] = evaluateRequest(Requests[I], Arena, Cache, Strategy,
-                                 Cache ? Cache : (BatchPlans ? &*BatchPlans
-                                                             : nullptr),
-                                 Store, Specialize);
+    SessionCache *PlanCache =
+        Opts.Cache ? Opts.Cache : (BatchPlans ? &*BatchPlans : nullptr);
+    Results[I] = evaluateRequest(Requests[I], Arena, Opts.Cache,
+                                 Opts.Strategy, PlanCache, Opts.Store,
+                                 Opts.Specialize);
     Loads[Worker].BasesVisited += Results[I].Candidates;
   }
   Loads[Worker].BusySeconds += secondsSince(S0);
@@ -394,26 +369,28 @@ std::vector<CheckResponse> QueryEngine::runAllInto(
     return {};
   }
 
-  // One-shot flow: construct a queue and workers per call, then drive the
-  // same BatchRun the resident server reuses across batches. Idle workers
-  // beyond the request count would only contend, so clamp.
-  unsigned Jobs = std::max(1u, Opts.Jobs);
-  Jobs = static_cast<unsigned>(std::min<size_t>(Jobs, N));
-  WorkQueue<size_t> Q(Jobs);
-  BatchRun Batch(Requests, Q, Opts.Cache, OnResult, Opts.Strategy,
-                 Opts.Store, Opts.Specialize);
+  // One-shot flow: transient workers drive the same BatchRun the
+  // resident server schedules on its pool. Requests are never split, so
+  // the workers need no pool: each claims the next index from one shared
+  // counter. Idle workers beyond the request count would only contend,
+  // so clamp.
+  unsigned Jobs = static_cast<unsigned>(
+      std::min<size_t>(std::max(1u, Opts.Jobs), N));
+  BatchRun Batch(Requests, Jobs, Opts, OnResult);
+  std::atomic<size_t> Next{0};
+  auto Work = [&](unsigned W) {
+    std::optional<ExecutionAnalysis> Arena;
+    for (size_t I; (I = Next.fetch_add(1, std::memory_order_relaxed)) < N;)
+      Batch.runOne(I, W, Arena);
+  };
 
   if (Jobs == 1) {
-    std::optional<ExecutionAnalysis> Arena;
-    Batch.work(0, Arena);
+    Work(0);
   } else {
     std::vector<std::thread> Threads;
     Threads.reserve(Jobs);
     for (unsigned W = 0; W < Jobs; ++W)
-      Threads.emplace_back([&Batch, W] {
-        std::optional<ExecutionAnalysis> Arena;
-        Batch.work(W, Arena);
-      });
+      Threads.emplace_back(Work, W);
     for (std::thread &Th : Threads)
       Th.join();
   }

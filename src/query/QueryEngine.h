@@ -11,11 +11,11 @@
 /// is the enumerate-once/check-many discipline every frontend previously
 /// hand-rolled (or failed to: the old benches re-enumerated per model).
 ///
-/// Batches are scheduled on the generic work-stealing pool
-/// (`WorkQueue<size_t>`, one task per request, one analysis arena per
-/// worker) and results are **streamed in request order**: the callback
-/// fires for response i only after responses 0..i-1, whatever order the
-/// workers finished in. Verdicts are deterministic — independent of Jobs
+/// A one-shot batch runs on `min(Jobs, N)` workers that claim request
+/// indices from one shared atomic counter (requests are never split, so
+/// no pool is needed), each with its own analysis arena. Results are
+/// **streamed in request order**: the callback fires for response i only
+/// after responses 0..i-1, whatever order the workers finished in. Verdicts are deterministic — independent of Jobs
 /// and of scheduling — because each request is evaluated sequentially by
 /// exactly one worker over the fixed candidate enumeration order; only
 /// `Seconds` and the telemetry vary run to run.
@@ -85,45 +85,29 @@ struct BatchOptions {
   VerdictStore *Store = nullptr;
 };
 
-/// One batch in flight over a caller-owned `WorkQueue<size_t>` — the seam
-/// between the engine's evaluation logic and whoever owns the worker
-/// threads. `QueryEngine::run` builds a queue and threads per call; the
-/// resident query server (server/QueryServer.h) keeps both alive across
-/// batches and drives the *same* code, so its responses match one-shot
-/// runs byte for byte by construction.
+/// One batch in flight — the seam between the engine's evaluation logic
+/// and whoever owns the worker threads. `QueryEngine::run` spawns
+/// transient workers per call; the resident query server
+/// (server/QueryServer.h) interleaves tasks of many batches over one
+/// persistent pool. Both drive the *same* `runOne`, so server responses
+/// match one-shot runs byte for byte by construction.
 ///
-/// Protocol: construct over a quiescent queue (the constructor seeds one
-/// task per request), have each of the queue's workers call `work` until
-/// it returns, then collect results with `take`. Responses stream to the
-/// optional callback in request order, whatever order workers finish in.
-///
-/// The *unseeded* constructor (no queue) is the seam for schedulers that
-/// interleave tasks of many batches over one shared pool — the concurrent
-/// multi-client server: the owner dispatches `(batch, request-index)`
-/// tasks itself and drives `runOne` per task. Request evaluation is the
-/// same code either way, so verdict bytes cannot depend on which mode —
-/// or how many rival batches — scheduled them.
+/// Protocol: construct for \p NumWorkers workers, have the owner
+/// schedule every request index exactly once via `runOne` (any order;
+/// each thread passes its own fixed `Worker` slot < NumWorkers), then
+/// collect results with `take`. Responses stream to the optional
+/// callback in request order, whatever order workers finish in. Request
+/// evaluation is the same code whatever the scheduler, so verdict bytes
+/// cannot depend on it — or on how many rival batches share a pool.
 class BatchRun {
 public:
-  BatchRun(std::span<const CheckRequest> Requests, WorkQueue<size_t> &Q,
-           SessionCache *Cache = nullptr,
-           std::function<void(const CheckResponse &)> OnResult = nullptr,
-           EvalStrategy Strategy = EvalStrategy::Planned,
-           VerdictStore *Store = nullptr, bool Specialize = true);
-  /// Unseeded mode: evaluation state for \p NumWorkers external workers;
-  /// the caller schedules every request index exactly once via `runOne`.
+  /// Evaluation state for \p NumWorkers workers. `Opts.Jobs` is
+  /// ignored: the owner decides how many threads drive `runOne`.
   BatchRun(std::span<const CheckRequest> Requests, unsigned NumWorkers,
-           SessionCache *Cache = nullptr,
-           std::function<void(const CheckResponse &)> OnResult = nullptr,
-           EvalStrategy Strategy = EvalStrategy::Planned,
-           VerdictStore *Store = nullptr, bool Specialize = true);
+           const BatchOptions &Opts,
+           std::function<void(const CheckResponse &)> OnResult = nullptr);
   BatchRun(const BatchRun &) = delete;
   BatchRun &operator=(const BatchRun &) = delete;
-
-  /// Worker body: pop and evaluate requests until the queue drains.
-  /// \p Arena is this worker's persistent analysis arena (created on
-  /// first use, retargeted per candidate, reusable across batches).
-  void work(unsigned Worker, std::optional<ExecutionAnalysis> &Arena);
 
   /// Evaluate request \p I (exactly once per index, any thread, any
   /// order). \p Skip marks the index done without evaluating — the
@@ -144,12 +128,8 @@ public:
 
 private:
   std::span<const CheckRequest> Requests;
-  WorkQueue<size_t> *Q = nullptr;
-  SessionCache *Cache;
+  BatchOptions Opts;
   std::function<void(const CheckResponse &)> OnResult;
-  EvalStrategy Strategy;
-  VerdictStore *Store;
-  bool Specialize;
   /// Plan cache for cache-less planned batches, so a batch still compiles
   /// each distinct spec set once (a resident `Cache` subsumes it).
   std::optional<SessionCache> BatchPlans;
@@ -172,7 +152,7 @@ public:
   /// Evaluate one request in the calling thread.
   CheckResponse evaluate(const CheckRequest &R) const;
 
-  /// Evaluate \p Requests on `Opts.Jobs` pool workers, streaming each
+  /// Evaluate \p Requests on `min(Opts.Jobs, N)` workers, streaming each
   /// response to \p OnResult in request order (the callback runs on
   /// whichever worker completes the front of the order — serialise any
   /// shared state yourself, or use `runAll`). Returns the batch

@@ -90,26 +90,28 @@ std::shared_ptr<const MemoryModel> SessionCache::model(
 std::shared_ptr<const EvalPlan>
 SessionCache::plan(const std::string &Key,
                    std::span<const MemoryModel *const> Models, bool *Hit) {
+  std::shared_ptr<PlanSlot> Slot;
   {
     std::lock_guard<std::mutex> Lock(Mu);
-    auto It = Plans.find(Key);
-    if (It != Plans.end()) {
+    auto [It, New] = Plans.try_emplace(Key);
+    if (New) {
+      It->second = std::make_shared<PlanSlot>();
+      ++S.PlanMisses;
+      S.PlansCached = Plans.size();
+    } else {
       ++S.PlanHits;
-      if (Hit)
-        *Hit = true;
-      return It->second;
     }
-    ++S.PlanMisses;
     if (Hit)
-      *Hit = false;
+      *Hit = !New;
+    Slot = It->second;
   }
-  // Compile outside the lock; racing workers produce identical plans
-  // (compilation is deterministic), so either insert may land.
-  auto P = std::make_shared<const EvalPlan>(EvalPlan::compile(Models));
-  std::lock_guard<std::mutex> Lock(Mu);
-  auto [It, Inserted] = Plans.emplace(Key, P);
-  S.PlansCached = Plans.size();
-  return Inserted ? P : It->second;
+  // Compile outside the lock, once per key: workers racing on the same
+  // cold spec set wait for the first one's compile instead of compiling
+  // duplicates, so a batch compiles each distinct spec set exactly once.
+  std::call_once(Slot->Once, [&] {
+    Slot->Plan = std::make_shared<const EvalPlan>(EvalPlan::compile(Models));
+  });
+  return Slot->Plan;
 }
 
 SessionCache::Stats SessionCache::stats() const {

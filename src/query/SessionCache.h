@@ -26,8 +26,11 @@
 /// under the multiplexer when many rival clients share the one cache.
 /// The model cache is tiny (spec strings) and unbounded.
 ///
-/// Thread-safe: one mutex guards both maps; lookups are cheap next to
-/// enumeration, so the lock is uncontended in practice.
+/// Thread-safe: one mutex guards the maps; lookups are cheap next to
+/// enumeration, so the lock is uncontended in practice. Parses and model
+/// resolutions run outside the lock and may race (both results are
+/// identical); a plan compiles exactly once per spec set, racing lookups
+/// waiting for it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -87,7 +90,8 @@ public:
   /// one plan. Compilation is deterministic over the resolved models, so
   /// a cached plan is identical to a fresh one; the batch plans each
   /// distinct spec set once and every request of the batch reuses it.
-  /// \p Hit, when set, reports whether this lookup was served resident.
+  /// \p Hit, when set, reports whether this lookup was served resident
+  /// (including a wait on a racing lookup's compile of the same key).
   std::shared_ptr<const EvalPlan>
   plan(const std::string &Key, std::span<const MemoryModel *const> Models,
        bool *Hit = nullptr);
@@ -115,9 +119,15 @@ private:
   uint64_t NextGen = 0;
   std::unordered_map<std::string, std::shared_ptr<const MemoryModel>>
       Models;
+  /// One plan-map entry, filled exactly once by the first lookup of its
+  /// key; concurrent lookups of the same key wait for that compile.
+  struct PlanSlot {
+    std::once_flag Once;
+    std::shared_ptr<const EvalPlan> Plan;
+  };
   /// Compiled evaluation plans keyed by canonical spec-set (tiny, like
   /// the model cache: sessions check a handful of spec sets).
-  std::unordered_map<std::string, std::shared_ptr<const EvalPlan>> Plans;
+  std::unordered_map<std::string, std::shared_ptr<PlanSlot>> Plans;
   Stats S;
 };
 

@@ -262,8 +262,8 @@ struct ConnectionMultiplexer::Impl {
         Line = std::string_view(C.InBuf).substr(Pos, Nl - Pos);
         Pos = Nl + 1;
       } else if (C.ReadClosed && Pos < C.InBuf.size()) {
-        // The serial path's trailing-line rule: an unterminated final
-        // line still answers at EOF.
+        // The trailing-line rule (as in the stdio loop): an unterminated
+        // final line still answers at EOF.
         Line = std::string_view(C.InBuf).substr(Pos);
         Pos = C.InBuf.size();
       } else {

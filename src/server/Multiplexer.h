@@ -14,7 +14,7 @@
 ///  * **Framing.** Every connection owns an input buffer; a batch line
 ///    may arrive in arbitrary chunks (torn anywhere, or many lines
 ///    coalesced into one read) and is only acted on once its '\n'
-///    arrives — plus the serial path's trailing-line rule: an
+///    arrives — plus the stdio loop's trailing-line rule: an
 ///    unterminated final line still answers at EOF. Blank lines are
 ///    skipped, malformed lines answer with the same error document
 ///    `serveLine` produces.
@@ -25,8 +25,8 @@
 ///    per batch and serialised into one verdicts document, and documents
 ///    are appended to a connection's output strictly in that connection's
 ///    batch arrival order (out-of-order completions wait their turn). So
-///    every connection's byte stream is exactly what the serial transport
-///    — and one-shot `litmus_tool --json` — would produce, regardless of
+///    every connection's byte stream is exactly what one-shot
+///    `litmus_tool --json` would produce for its batches, regardless of
 ///    how many rivals are connected. Per-batch fairness caps
 ///    (`MuxOptions::FairnessCap`) keep one client's corpus-sized batch
 ///    from monopolising the pool.
@@ -48,7 +48,11 @@
 ///
 /// The loop itself never evaluates a request — evaluation lives on the
 /// pool workers; the loop thread only moves bytes, so a long batch never
-/// blocks accepts, reads, or writes.
+/// blocks accepts, reads, or writes. Every accept/read/write/poll in the
+/// loop restarts on EINTR: a signal delivered to the loop thread (SIGCHLD
+/// from a CI harness, SIGUSR1 profiling pokes) never drops a connection
+/// or a half-received frame — pinned by tests/transport_test.cpp's
+/// signal-delivery tests.
 ///
 //===----------------------------------------------------------------------===//
 

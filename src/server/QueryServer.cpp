@@ -23,8 +23,7 @@ public:
               SessionCache *Cache, VerdictStore *Store,
               QueryServer::BatchDone OnDone, unsigned FairnessCap)
       : Id(Id), Owned(std::move(Owned)), Requests(Requests),
-        Run(Requests, NumWorkers, Cache, nullptr, EvalStrategy::Planned,
-            Store),
+        Run(Requests, NumWorkers, {.Cache = Cache, .Store = Store}),
         OnDone(std::move(OnDone)),
         Outstanding(Requests.size()),
         NextToSeed(FairnessCap == 0 ? Requests.size()

@@ -39,8 +39,8 @@
 /// malformed batch line yields an error document (`batchErrorToJson`),
 /// never process death.
 ///
-/// Transports (stdin/stdout loop, serial Unix-domain socket, the poll
-/// multiplexer) live in server/Transport.h and server/Multiplexer.h; this
+/// Transports (the stdin/stdout loop and the poll multiplexer behind
+/// `--listen`) live in server/Transport.h and server/Multiplexer.h; this
 /// class is transport-free and driven in-process by the tests.
 ///
 //===----------------------------------------------------------------------===//

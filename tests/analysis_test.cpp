@@ -211,28 +211,6 @@ TEST(AnalysisMemoization, ResetRetargets) {
   EXPECT_EQ(A.rfe(), Y.rfe());
 }
 
-TEST(ShardedEnumeration, ShardsPartitionTheBaseSpace) {
-  Vocabulary V = Vocabulary::forArch(Arch::X86);
-  ExecutionEnumerator Enum(V, 4);
-
-  std::multiset<uint64_t> All;
-  Enum.forEachBase([&](Execution &X) {
-    All.insert(X.hash());
-    return true;
-  });
-  ASSERT_FALSE(All.empty());
-
-  for (unsigned NumShards : {2u, 3u, 7u}) {
-    std::multiset<uint64_t> Sharded;
-    for (unsigned S = 0; S < NumShards; ++S)
-      Enum.forEachBaseSharded(S, NumShards, [&](Execution &X) {
-        Sharded.insert(X.hash());
-        return true;
-      });
-    EXPECT_EQ(Sharded, All) << NumShards << " shards";
-  }
-}
-
 TEST(ShardedEnumeration, ParallelForbidSynthesisMatchesSequential) {
   X86Model Tm;
   X86Model Baseline{X86Model::Config::baseline()};

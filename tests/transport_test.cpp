@@ -1,17 +1,17 @@
 //===- transport_test.cpp - Protocol fuzz + concurrency for the transports ------==//
 ///
-/// The differential protocol harness for the socket transports: NDJSON
-/// frames torn at every byte boundary, batches coalesced into one
-/// write(), writes interleaved across rival connections — each pinned
-/// byte-for-byte against the serial single-client path and the one-shot
-/// engine (`litmus_tool --json`'s bytes). Plus the concurrency
-/// contract of the poll multiplexer (server/Multiplexer.h): N client
-/// threads over one server with no intermixed verdict streams, slow
-/// readers held by backpressure without disturbing rivals, mid-batch
-/// disconnects cancelled cleanly, and shutdown with clients still
-/// connected. The EINTR tests pin that every accept/read/write/poll
-/// loop restarts on signal delivery instead of dropping a connection —
-/// handlers installed via sigaction with no SA_RESTART, so the
+/// The differential protocol harness for the socket server, the poll
+/// multiplexer (server/Multiplexer.h): NDJSON frames torn at every byte
+/// boundary, batches coalesced into one write(), writes interleaved
+/// across rival connections — each pinned byte-for-byte against the
+/// one-shot engine (`litmus_tool --json`'s bytes). Plus its concurrency
+/// contract: N client threads over one server with no intermixed verdict
+/// streams, slow readers held by backpressure without disturbing rivals,
+/// mid-batch disconnects cancelled cleanly, and shutdown with clients
+/// still connected. The EINTR tests pin that the loop restarts its
+/// poll/read calls on signal delivery — idle, mid-batch, and between the
+/// two halves of a torn frame — instead of dropping a connection;
+/// handlers are installed via sigaction with no SA_RESTART, so the
 /// syscalls genuinely return EINTR.
 ///
 /// Runs under the TSan CI lane: the loop thread, pool workers, and
@@ -251,7 +251,7 @@ TEST(Transport, CoalescedBatchesAndTrailingLineInOneWrite) {
 
   // One write carrying: two complete batches, blank/whitespace lines to
   // skip, and a final *unterminated* batch that must still answer at EOF
-  // (the serial path's trailing-line rule).
+  // (the trailing-line rule).
   std::string Payload = Line + "\n\n \t\r\n" + Line + "\n" + Line;
   ASSERT_TRUE(sendAll(Fd, Payload));
   ASSERT_EQ(::shutdown(Fd, SHUT_WR), 0);
@@ -267,7 +267,7 @@ TEST(Transport, EmptyBatchAnsweredEvenAtEof) {
   // the worker mailbox with no in-flight (Live) entry. A batch framed in
   // the same dispatch that sees the close must not let the connection be
   // torn down before the mailbox drains — that silently drops the
-  // response the serial transport would have written.
+  // response the one-shot engine would have printed.
   std::string Reference = oneShot(std::vector<CheckRequest>{});
   ASSERT_FALSE(Reference.empty());
 
@@ -351,46 +351,24 @@ TEST(Transport, ClientInterleavesSendsWithResponseDrain) {
 
 // --- the differential contract ---------------------------------------------
 
-TEST(Transport, MuxMatchesSerialSocketAndOneShot) {
+TEST(Transport, MuxMatchesOneShot) {
   std::vector<CheckRequest> Requests = sampleBatch();
   std::string Line = requestsToJsonLine(Requests);
   std::string Reference = oneShot(Requests);
-  std::string Payload = Line + "\n" + Line + "\n";
 
-  // The serial single-client reference transport.
-  std::string SerialGot;
-  {
-    QueryServer S({2});
-    std::string Path = testing::TempDir() + "tmw_serial_ref.sock";
-    std::thread Listener(
-        [&] { server::serveUnixSocket(S, Path, /*AcceptLimit=*/1); });
-    int Fd = connectRetry(Path);
-    ASSERT_GE(Fd, 0);
-    ASSERT_TRUE(sendAll(Fd, Payload));
-    ASSERT_EQ(::shutdown(Fd, SHUT_WR), 0);
-    SerialGot = recvAll(Fd);
-    ::close(Fd);
-    Listener.join();
-  }
-
-  // The concurrent multiplexer.
-  std::string MuxGot;
-  {
-    server::MuxOptions Opts;
-    Opts.AcceptLimit = 1;
-    MuxHarness H(2, Opts, "tmw_mux_ref.sock");
-    int Fd = connectRetry(H.Path);
-    ASSERT_GE(Fd, 0);
-    ASSERT_TRUE(sendAll(Fd, Payload));
-    ASSERT_EQ(::shutdown(Fd, SHUT_WR), 0);
-    MuxGot = recvAll(Fd);
-    ::close(Fd);
-    H.finish();
-    EXPECT_EQ(H.Exit, 0);
-  }
-
-  EXPECT_EQ(SerialGot, Reference + Reference);
-  EXPECT_EQ(MuxGot, SerialGot) << "mux diverged from the serial transport";
+  server::MuxOptions Opts;
+  Opts.AcceptLimit = 1;
+  MuxHarness H(2, Opts, "tmw_mux_ref.sock");
+  int Fd = connectRetry(H.Path);
+  ASSERT_GE(Fd, 0);
+  ASSERT_TRUE(sendAll(Fd, Line + "\n" + Line + "\n"));
+  ASSERT_EQ(::shutdown(Fd, SHUT_WR), 0);
+  std::string Got = recvAll(Fd);
+  ::close(Fd);
+  H.finish();
+  EXPECT_EQ(H.Exit, 0);
+  EXPECT_EQ(Got, Reference + Reference)
+      << "mux diverged from the one-shot engine";
 }
 
 TEST(Transport, InterleavedPartialWritesAcrossConnections) {
@@ -434,7 +412,7 @@ TEST(Transport, InterleavedPartialWritesAcrossConnections) {
 
 TEST(Transport, ConcurrentClientsNeverIntermix) {
   // N client threads × M batches over one pool: every connection's byte
-  // stream must equal its own serial reference — concurrency may reorder
+  // stream must equal its own one-shot reference — concurrency may reorder
   // work on the pool, never bytes on a connection.
   constexpr unsigned Clients = 4, Batches = 3;
   server::MuxOptions Opts;
@@ -606,55 +584,6 @@ void pokeThread(std::thread &T, int Times) {
   }
 }
 
-TEST(Transport, SerialAcceptSurvivesEintr) {
-  NoRestartSigusr1 Guard;
-  QueryServer S({1});
-  std::string Path = testing::TempDir() + "tmw_eintr_accept.sock";
-  int Exit = -1;
-  std::thread Listener(
-      [&] { Exit = server::serveUnixSocket(S, Path, /*AcceptLimit=*/1); });
-
-  // Interrupt the listener while it is blocked in accept(): the loop
-  // must restart the call, not tear the listener down.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  pokeThread(Listener, 3);
-
-  std::vector<CheckRequest> Requests = tinyBatch();
-  int Fd = connectRetry(Path);
-  ASSERT_GE(Fd, 0);
-  ASSERT_TRUE(sendAll(Fd, requestsToJsonLine(Requests) + "\n"));
-  ASSERT_EQ(::shutdown(Fd, SHUT_WR), 0);
-  EXPECT_EQ(recvAll(Fd), oneShot(Requests));
-  ::close(Fd);
-  Listener.join();
-  EXPECT_EQ(Exit, 0);
-}
-
-TEST(Transport, SerialReadSurvivesEintr) {
-  NoRestartSigusr1 Guard;
-  QueryServer S({1});
-  std::string Path = testing::TempDir() + "tmw_eintr_read.sock";
-  int Exit = -1;
-  std::thread Listener(
-      [&] { Exit = server::serveUnixSocket(S, Path, /*AcceptLimit=*/1); });
-
-  std::string Line = requestsToJsonLine(tinyBatch());
-  int Fd = connectRetry(Path);
-  ASSERT_GE(Fd, 0);
-  // Half a frame, then signals while the server blocks in read() waiting
-  // for the rest: the torn frame must survive the EINTRs.
-  ASSERT_TRUE(sendAll(Fd, std::string_view(Line).substr(0, Line.size() / 2)));
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  pokeThread(Listener, 3);
-  ASSERT_TRUE(
-      sendAll(Fd, std::string(Line.substr(Line.size() / 2)) + "\n"));
-  ASSERT_EQ(::shutdown(Fd, SHUT_WR), 0);
-  EXPECT_EQ(recvAll(Fd), oneShot(tinyBatch()));
-  ::close(Fd);
-  Listener.join();
-  EXPECT_EQ(Exit, 0);
-}
-
 TEST(Transport, MuxPollSurvivesEintr) {
   NoRestartSigusr1 Guard;
   MuxHarness H(2, {}, "tmw_eintr_poll.sock");
@@ -673,6 +602,30 @@ TEST(Transport, MuxPollSurvivesEintr) {
   EXPECT_EQ(recvExactly(Fd, Reference.size()), Reference);
   ::close(Fd);
   H.stop();
+  EXPECT_EQ(H.Exit, 0);
+}
+
+TEST(Transport, MuxReadSurvivesEintrMidFrame) {
+  NoRestartSigusr1 Guard;
+  server::MuxOptions Opts;
+  Opts.AcceptLimit = 1;
+  MuxHarness H(2, Opts, "tmw_eintr_midframe.sock");
+
+  std::string Line = requestsToJsonLine(tinyBatch());
+  int Fd = connectRetry(H.Path);
+  ASSERT_GE(Fd, 0);
+  // Half a frame, then signals while the loop holds the torn frame in its
+  // input buffer and waits for the rest: the buffered half must survive
+  // the EINTRs and reassemble with the second half.
+  ASSERT_TRUE(sendAll(Fd, std::string_view(Line).substr(0, Line.size() / 2)));
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  pokeThread(H.Loop, 3);
+  ASSERT_TRUE(
+      sendAll(Fd, std::string(Line.substr(Line.size() / 2)) + "\n"));
+  ASSERT_EQ(::shutdown(Fd, SHUT_WR), 0);
+  EXPECT_EQ(recvAll(Fd), oneShot(tinyBatch()));
+  ::close(Fd);
+  H.finish();
   EXPECT_EQ(H.Exit, 0);
 }
 
