@@ -4,7 +4,7 @@
 /// time, the Forbid suite (count / seen / not seen) and the Allow suite
 /// (count / seen / not seen). "Hardware" is the operational x86-TSO+TSX
 /// machine (exhaustive interleavings), standing in for the paper's four
-/// TSX parts; every test is also run as a 1M-run sampled campaign.
+/// TSX parts.
 ///
 /// The footnote-2 refinement (a Forbid observation only counts when no
 /// model-consistent candidate explains it) goes through the batch query
@@ -26,6 +26,7 @@
 #include "litmus/FromExecution.h"
 #include "litmus/Parser.h"
 #include "litmus/Printer.h"
+#include "models/ModelRegistry.h"
 #include "models/X86Model.h"
 #include "query/QueryEngine.h"
 #include "synth/Conformance.h"
@@ -96,7 +97,8 @@ int main(int argc, char **argv) {
                 "Table 1, left half; §5.3");
 
   X86Model Tm;
-  X86Model Baseline{X86Model::Config::baseline()};
+  std::unique_ptr<MemoryModel> Baseline =
+      ModelRegistry::parse("x86/+baseline");
   Vocabulary V = Vocabulary::forArch(Arch::X86);
   unsigned MaxE = bench::maxEvents(5);
   double Budget = bench::budgetSeconds(120.0);
@@ -117,7 +119,7 @@ int main(int argc, char **argv) {
   };
 
   for (unsigned N = 2; N <= MaxE; ++N) {
-    ForbidSuite S = synthesizeForbid(Tm, Baseline, V, N, Budget, Jobs);
+    ForbidSuite S = synthesizeForbid(Tm, *Baseline, V, N, Budget, Jobs);
     // Forbid "seen": batch the model side through the query engine, then
     // compare against the operational machine's reachable outcomes.
     std::vector<Program> Progs;

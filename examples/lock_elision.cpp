@@ -14,6 +14,7 @@
 #include "litmus/Printer.h"
 #include "metatheory/LockElision.h"
 #include "models/Armv8Model.h"
+#include "models/ModelRegistry.h"
 #include "models/PowerModel.h"
 #include "models/X86Model.h"
 
@@ -52,17 +53,19 @@ int main() {
               "(abstract bound: 7 events)\n\n");
 
   X86Model X86Tm;
-  X86Model X86Spec{X86Model::Config::baseline()};
-  audit("x86 (TSX)", X86Tm, X86Spec, Arch::X86, false);
+  std::unique_ptr<MemoryModel> X86Spec = ModelRegistry::parse("x86/+baseline");
+  audit("x86 (TSX)", X86Tm, *X86Spec, Arch::X86, false);
 
   PowerModel PowerTm;
-  PowerModel PowerSpec{PowerModel::Config::baseline()};
-  audit("Power", PowerTm, PowerSpec, Arch::Power, false);
+  std::unique_ptr<MemoryModel> PowerSpec =
+      ModelRegistry::parse("power/+baseline");
+  audit("Power", PowerTm, *PowerSpec, Arch::Power, false);
 
   Armv8Model ArmTm;
-  Armv8Model ArmSpec{Armv8Model::Config::baseline()};
-  audit("ARMv8", ArmTm, ArmSpec, Arch::Armv8, false);
-  audit("ARMv8 + DMB fix", ArmTm, ArmSpec, Arch::Armv8, true);
+  std::unique_ptr<MemoryModel> ArmSpec =
+      ModelRegistry::parse("armv8/+baseline");
+  audit("ARMv8", ArmTm, *ArmSpec, Arch::Armv8, false);
+  audit("ARMv8 + DMB fix", ArmTm, *ArmSpec, Arch::Armv8, true);
 
   std::printf(
       "\nMoral (§1.1): a critical region can start executing after the "

@@ -338,3 +338,21 @@ bool tmw::postconditionReachable(const Program &P, const MemoryModel &M) {
   });
   return Reachable;
 }
+
+bool tmw::observedForbiddenBehaviour(const Program &P,
+                                     const MemoryModel &Spec,
+                                     const std::vector<Outcome> &Observed) {
+  // The allowed outcomes that satisfy the postcondition: one enumeration,
+  // checking only the candidates an observation could need explained.
+  std::vector<Outcome> Explained;
+  forEachCandidate(P, [&](const Candidate &C) {
+    if (C.O.satisfies(P) && Spec.consistent(C.X))
+      Explained.push_back(C.O);
+    return true;
+  });
+  std::sort(Explained.begin(), Explained.end());
+  return std::any_of(Observed.begin(), Observed.end(), [&](const Outcome &O) {
+    return O.satisfies(P) &&
+           !std::binary_search(Explained.begin(), Explained.end(), O);
+  });
+}

@@ -55,6 +55,19 @@ std::vector<Outcome> allowedOutcomes(const Program &P, const MemoryModel &M);
 /// \p P — i.e. the model \p M allows the behaviour the test checks for.
 bool postconditionReachable(const Program &P, const MemoryModel &M);
 
+/// True when some outcome in \p Observed both satisfies the postcondition
+/// of \p P and is not among the outcomes \p Spec allows — i.e. a machine
+/// that produced \p Observed genuinely exhibited a behaviour the model
+/// forbids.
+///
+/// This refines the raw "postcondition seen" verdict: with three or more
+/// writes to one location a final-state postcondition cannot pin the full
+/// coherence order (the paper's footnote 2), so a satisfying outcome may
+/// have a benign explanation. Soundness violations are only claimed when
+/// no consistent candidate explains the observation.
+bool observedForbiddenBehaviour(const Program &P, const MemoryModel &Spec,
+                                const std::vector<Outcome> &Observed);
+
 } // namespace tmw
 
 #endif // TMW_ENUMERATE_CANDIDATES_H

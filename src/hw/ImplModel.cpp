@@ -40,11 +40,10 @@ ImplModel ImplModel::armv8Silicon() {
 }
 
 ImplModel ImplModel::armv8BuggyRtl() {
-  Armv8Model::Config C;
-  C.TxnOrder = false;
-  return ImplModel(std::make_unique<Armv8Model>(C),
-                   /*NoLoadBuffering=*/true, "ARMv8 RTL prototype (buggy)",
-                   "armv8-rtl");
+  auto Rtl = std::make_unique<Armv8Model>();
+  Rtl->setAxiomEnabled("TxnOrder", false);
+  return ImplModel(std::move(Rtl), /*NoLoadBuffering=*/true,
+                   "ARMv8 RTL prototype (buggy)", "armv8-rtl");
 }
 
 ImplModel ImplModel::implFor(Arch A) {

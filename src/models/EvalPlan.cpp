@@ -121,9 +121,12 @@ EvalPlan EvalPlan::compile(std::span<const MemoryModel *const> Models) {
   X86Model X86;
   PowerModel Power;
   Armv8Model Armv8;
-  X86Model X86Base{X86Model::Config::baseline()};
-  PowerModel PowerBase{PowerModel::Config::baseline()};
-  Armv8Model Armv8Base{Armv8Model::Config::baseline()};
+  X86Model X86Base;
+  PowerModel PowerBase;
+  Armv8Model Armv8Base;
+  X86Base.setAxiomMask(baselineMask(X86Base.axioms()));
+  PowerBase.setAxiomMask(baselineMask(PowerBase.axioms()));
+  Armv8Base.setAxiomMask(baselineMask(Armv8Base.axioms()));
   auto refSet = [&](const MemoryModel &M) {
     std::vector<uint32_t> V = compileSpec(M).Obls;
     std::sort(V.begin(), V.end());

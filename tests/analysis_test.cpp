@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
 #include <vector>
 
 using namespace tmw;
@@ -213,7 +214,8 @@ TEST(AnalysisMemoization, ResetRetargets) {
 
 TEST(ShardedEnumeration, ParallelForbidSynthesisMatchesSequential) {
   X86Model Tm;
-  X86Model Baseline{X86Model::Config::baseline()};
+  X86Model Baseline;
+  Baseline.setAxiomMask(baselineMask(Baseline.axioms()));
   Vocabulary V = Vocabulary::forArch(Arch::X86);
 
   ForbidSuite Seq = synthesizeForbid(Tm, Baseline, V, 4, 300.0, 1);
@@ -235,11 +237,66 @@ TEST(ShardedEnumeration, ParallelForbidSynthesisMatchesSequential) {
 //===----------------------------------------------------------------------===
 // Axiom-engine cross-check: the declarative axiom lists driven by the
 // generic engine must reproduce, verdict for verdict (including the first
-// failed axiom), the PR-1 hand-written check() bodies, which are kept
-// below as independent reference implementations.
+// failed axiom), the original hand-written check() bodies, which are
+// kept below as independent reference implementations.
 //===----------------------------------------------------------------------===
 
 namespace legacy {
+
+/// The TM toggles the hand-written checkers read, one flag per toggleable
+/// TM axiom (each checker reads only its own model's flags).
+struct TmFlags {
+  bool Tfence = true, StrongIsol = true, TxnOrder = true,
+       TxnCancelsRmw = true, TProp1 = true, TProp2 = true, Thb = true,
+       Tsw = true;
+};
+
+/// A flag and the axiom-table name the generic engine toggles for it.
+struct Toggle {
+  const char *Axiom;
+  bool TmFlags::*Flag;
+};
+
+constexpr Toggle X86Toggles[] = {{"tfence", &TmFlags::Tfence},
+                                 {"StrongIsol", &TmFlags::StrongIsol},
+                                 {"TxnOrder", &TmFlags::TxnOrder}};
+constexpr Toggle PowerToggles[] = {{"tfence", &TmFlags::Tfence},
+                                   {"StrongIsol", &TmFlags::StrongIsol},
+                                   {"TxnOrder", &TmFlags::TxnOrder},
+                                   {"TxnCancelsRMW", &TmFlags::TxnCancelsRmw},
+                                   {"tprop1", &TmFlags::TProp1},
+                                   {"tprop2", &TmFlags::TProp2},
+                                   {"thb", &TmFlags::Thb}};
+constexpr Toggle Armv8Toggles[] = {{"tfence", &TmFlags::Tfence},
+                                   {"StrongIsol", &TmFlags::StrongIsol},
+                                   {"TxnOrder", &TmFlags::TxnOrder},
+                                   {"TxnCancelsRMW", &TmFlags::TxnCancelsRmw}};
+constexpr Toggle CppToggles[] = {{"Tsw", &TmFlags::Tsw}};
+
+/// Default (all on), baseline (all off), and each single toggle off — the
+/// drop is skipped when it would repeat the baseline.
+std::vector<TmFlags> sweep(std::span<const Toggle> Toggles) {
+  TmFlags Baseline;
+  for (const Toggle &T : Toggles)
+    Baseline.*T.Flag = false;
+  std::vector<TmFlags> Out = {TmFlags(), Baseline};
+  if (Toggles.size() > 1)
+    for (const Toggle &T : Toggles) {
+      Out.emplace_back();
+      Out.back().*T.Flag = false;
+    }
+  return Out;
+}
+
+/// A default `Model` with exactly the toggles \p F turns off disabled,
+/// addressed by axiom name.
+template <typename Model>
+Model configured(std::span<const Toggle> Toggles, const TmFlags &F) {
+  Model M;
+  for (const Toggle &T : Toggles)
+    EXPECT_TRUE(M.setAxiomEnabled(T.Axiom, F.*T.Flag)) << T.Axiom;
+  return M;
+}
 
 ConsistencyResult checkSc(const ExecutionAnalysis &A) {
   Relation Hb = A.po() | A.com();
@@ -257,8 +314,7 @@ ConsistencyResult checkTsc(const ExecutionAnalysis &A) {
   return ConsistencyResult::ok();
 }
 
-ConsistencyResult checkX86(const ExecutionAnalysis &A,
-                           X86Model::Config Cfg) {
+ConsistencyResult checkX86(const ExecutionAnalysis &A, const TmFlags &Cfg) {
   unsigned N = A.size();
   const Relation &Com = A.com();
   if (!(A.poLoc() | Com).isAcyclic())
@@ -315,8 +371,7 @@ Relation legacyPowerPpo(const ExecutionAnalysis &A) {
   return (Ii & Relation::cross(R, R, N)) | (Ic & Relation::cross(R, W, N));
 }
 
-ConsistencyResult checkPower(const ExecutionAnalysis &A,
-                             PowerModel::Config Cfg) {
+ConsistencyResult checkPower(const ExecutionAnalysis &A, const TmFlags &Cfg) {
   unsigned N = A.size();
   const Relation &Com = A.com();
   if (!(A.poLoc() | Com).isAcyclic())
@@ -379,8 +434,7 @@ ConsistencyResult checkPower(const ExecutionAnalysis &A,
   return ConsistencyResult::ok();
 }
 
-ConsistencyResult checkArmv8(const ExecutionAnalysis &A,
-                             Armv8Model::Config Cfg) {
+ConsistencyResult checkArmv8(const ExecutionAnalysis &A, const TmFlags &Cfg) {
   unsigned N = A.size();
   const Relation &Com = A.com();
   if (!(A.poLoc() | Com).isAcyclic())
@@ -435,8 +489,7 @@ ConsistencyResult checkArmv8(const ExecutionAnalysis &A,
   return ConsistencyResult::ok();
 }
 
-ConsistencyResult checkCpp(const ExecutionAnalysis &A,
-                           CppModel::Config Cfg) {
+ConsistencyResult checkCpp(const ExecutionAnalysis &A, const TmFlags &Cfg) {
   unsigned N = A.size();
   Relation Sw = A.cppSynchronisesWith();
   if (Cfg.Tsw)
@@ -483,65 +536,31 @@ void expectSameVerdict(const MemoryModel &M, ConsistencyResult Ref,
 }
 
 TEST(AxiomEngineCrossCheck, MatchesLegacyCheckersOnAllConfigs) {
-  // Every config the PR-1 Config structs could express: default,
-  // baseline, and each single-toggle-off variant, for all six models,
-  // over the mixed x86/C++ cross-check corpus.
+  // Every TM-toggle configuration the checkers take — default, baseline,
+  // and each single-toggle drop — plus SC and TSC, over the mixed x86/C++
+  // cross-check corpus.
+  EXPECT_EQ(sweep(X86Toggles).size(), 5u);
+  EXPECT_EQ(sweep(PowerToggles).size(), 9u);
+  EXPECT_EQ(sweep(Armv8Toggles).size(), 6u);
+  EXPECT_EQ(sweep(CppToggles).size(), 2u);
   for (Arch A : {Arch::X86, Arch::Cpp}) {
     for (const Execution &X :
          corpus(Vocabulary::forArch(A), 3, /*Cap=*/300)) {
       ExecutionAnalysis An(X);
       expectSameVerdict(ScModel(), legacy::checkSc(An), X, "SC");
       expectSameVerdict(TscModel(), legacy::checkTsc(An), X, "TSC");
-
-      for (int Drop = -2; Drop < 3; ++Drop) {
-        X86Model::Config C =
-            Drop == -2 ? X86Model::Config::baseline() : X86Model::Config();
-        if (Drop == 0)
-          C.Tfence = false;
-        if (Drop == 1)
-          C.StrongIsol = false;
-        if (Drop == 2)
-          C.TxnOrder = false;
-        expectSameVerdict(X86Model(C), legacy::checkX86(An, C), X, "x86");
-      }
-      for (int Drop = -2; Drop < 7; ++Drop) {
-        PowerModel::Config C = Drop == -2 ? PowerModel::Config::baseline()
-                                          : PowerModel::Config();
-        if (Drop == 0)
-          C.Tfence = false;
-        if (Drop == 1)
-          C.StrongIsol = false;
-        if (Drop == 2)
-          C.TxnOrder = false;
-        if (Drop == 3)
-          C.TxnCancelsRmw = false;
-        if (Drop == 4)
-          C.TProp1 = false;
-        if (Drop == 5)
-          C.TProp2 = false;
-        if (Drop == 6)
-          C.Thb = false;
-        expectSameVerdict(PowerModel(C), legacy::checkPower(An, C), X,
-                          "Power");
-      }
-      for (int Drop = -2; Drop < 4; ++Drop) {
-        Armv8Model::Config C = Drop == -2 ? Armv8Model::Config::baseline()
-                                          : Armv8Model::Config();
-        if (Drop == 0)
-          C.Tfence = false;
-        if (Drop == 1)
-          C.StrongIsol = false;
-        if (Drop == 2)
-          C.TxnOrder = false;
-        if (Drop == 3)
-          C.TxnCancelsRmw = false;
-        expectSameVerdict(Armv8Model(C), legacy::checkArmv8(An, C), X,
-                          "ARMv8");
-      }
-      for (bool Tsw : {true, false}) {
-        CppModel::Config C{Tsw};
-        expectSameVerdict(CppModel(C), legacy::checkCpp(An, C), X, "C++");
-      }
+      for (const TmFlags &F : sweep(X86Toggles))
+        expectSameVerdict(configured<X86Model>(X86Toggles, F),
+                          legacy::checkX86(An, F), X, "x86");
+      for (const TmFlags &F : sweep(PowerToggles))
+        expectSameVerdict(configured<PowerModel>(PowerToggles, F),
+                          legacy::checkPower(An, F), X, "Power");
+      for (const TmFlags &F : sweep(Armv8Toggles))
+        expectSameVerdict(configured<Armv8Model>(Armv8Toggles, F),
+                          legacy::checkArmv8(An, F), X, "ARMv8");
+      for (const TmFlags &F : sweep(CppToggles))
+        expectSameVerdict(configured<CppModel>(CppToggles, F),
+                          legacy::checkCpp(An, F), X, "C++");
     }
   }
 }

@@ -106,7 +106,8 @@ TEST(Armv8TmTest, TfenceForbidsStoreBufferingAroundTransactions) {
   Execution X = B.build();
   Armv8Model Tm;
   EXPECT_FALSE(Tm.consistent(X));
-  Armv8Model Baseline{Armv8Model::Config::baseline()};
+  Armv8Model Baseline;
+  Baseline.setAxiomMask(baselineMask(Baseline.axioms()));
   EXPECT_TRUE(Baseline.consistent(X));
 }
 
@@ -169,14 +170,15 @@ TEST(Armv8TmTest, BuggyRtlAllowsTxnOrderViolation) {
   Execution X = shapes::lockElisionConcrete(/*FixedSpinlock=*/true);
   Armv8Model Tm;
   EXPECT_FALSE(Tm.consistent(X));
-  Armv8Model::Config Buggy;
-  Buggy.TxnOrder = false;
-  EXPECT_TRUE(Armv8Model(Buggy).consistent(X));
+  Armv8Model Buggy;
+  ASSERT_TRUE(Buggy.setAxiomEnabled("TxnOrder", false));
+  EXPECT_TRUE(Buggy.consistent(X));
 }
 
 TEST(Armv8TmTest, TransactionFreeExecutionsUnchanged) {
   Armv8Model Tm;
-  Armv8Model Baseline{Armv8Model::Config::baseline()};
+  Armv8Model Baseline;
+  Baseline.setAxiomMask(baselineMask(Baseline.axioms()));
   for (const Execution &X :
        {shapes::storeBuffering(), shapes::messagePassing(),
         shapes::loadBuffering(true), shapes::iriw(MemOrder::Acquire)}) {

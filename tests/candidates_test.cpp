@@ -2,6 +2,7 @@
 
 #include "TestGraphs.h"
 #include "enumerate/Candidates.h"
+#include "hw/ImplModel.h"
 #include "litmus/FromExecution.h"
 #include "litmus/Parser.h"
 #include "models/ScModel.h"
@@ -51,6 +52,25 @@ TEST(CandidatesTest, ScForbidsSbPostcondition) {
   EXPECT_FALSE(postconditionReachable(sbProgram(), Sc));
   X86Model X86;
   EXPECT_TRUE(postconditionReachable(sbProgram(), X86));
+}
+
+TEST(CandidatesTest, Power8ShowsSbButNeverLb) {
+  // LB has never been observed on Power silicon; the POWER8 substitute
+  // bakes that in (§5.3) while still exhibiting store buffering.
+  ParseResult Lb = parseProgram(R"(name LB
+thread 0
+  load x
+  store y 1
+thread 1
+  load y
+  store x 1
+post reg 0 r0 1
+post reg 1 r0 1
+)");
+  ASSERT_TRUE(static_cast<bool>(Lb)) << Lb.Error;
+  ImplModel P8 = ImplModel::power8();
+  EXPECT_FALSE(postconditionReachable(Lb.Prog, P8));
+  EXPECT_TRUE(postconditionReachable(sbProgram(), P8));
 }
 
 TEST(CandidatesTest, CoPermutationsEnumerated) {

@@ -9,7 +9,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "hw/LitmusRunner.h"
+#include "enumerate/Candidates.h"
 
 #include "execution/Builder.h"
 #include "hw/TsoMachine.h"
@@ -76,13 +76,6 @@ TEST(ForbiddenObservationTest, NonSatisfyingOutcomesIgnored) {
   Outcome Bogus;
   Bogus.MemValues = {99, 0};
   EXPECT_FALSE(observedForbiddenBehaviour(P, Tm, {Bogus}));
-}
-
-TEST(ForbiddenObservationTest, OutcomesOfExtractsHistogram) {
-  Program P = ambiguousTest();
-  RunReport R = runOnTso(P, 100);
-  std::vector<Outcome> Outs = outcomesOf(R);
-  EXPECT_EQ(Outs.size(), R.Histogram.size());
 }
 
 } // namespace

@@ -30,7 +30,8 @@ namespace {
 
 TEST(PipelineTest, SynthesiseConvertRunX86) {
   X86Model Tm;
-  X86Model Baseline{X86Model::Config::baseline()};
+  X86Model Baseline;
+  Baseline.setAxiomMask(baselineMask(Baseline.axioms()));
   Vocabulary V = Vocabulary::forArch(Arch::X86);
   ForbidSuite Suite = synthesizeForbid(Tm, Baseline, V, 4, 120.0);
   ASSERT_FALSE(Suite.Tests.empty());
@@ -59,7 +60,8 @@ TEST(PipelineTest, SynthesiseConvertRunX86) {
 
 TEST(PipelineTest, ElisionWitnessRendersAsExample11) {
   Armv8Model Tm;
-  Armv8Model Spec{Armv8Model::Config::baseline()};
+  Armv8Model Spec;
+  Spec.setAxiomMask(baselineMask(Spec.axioms()));
   ElisionResult R =
       checkLockElision(Tm, Spec, Arch::Armv8, false, 7, 300.0);
   ASSERT_TRUE(R.CounterexampleFound);
@@ -153,7 +155,8 @@ TEST(PipelineTest, DslRoundTripPreservesModelVerdicts) {
   X86Model Model;
   EXPECT_EQ(postconditionReachable(P, Model),
             postconditionReachable(R.Prog, Model));
-  X86Model Baseline{X86Model::Config::baseline()};
+  X86Model Baseline;
+  Baseline.setAxiomMask(baselineMask(Baseline.axioms()));
   EXPECT_EQ(postconditionReachable(P, Baseline),
             postconditionReachable(R.Prog, Baseline));
 }

@@ -33,7 +33,8 @@ TEST(CrOrderTest, Fig10AbstractViolatesSerialisation) {
   Execution X = fig10Abstract();
   EXPECT_FALSE(holdsCrOrder(X));
   // But the memory part is architecturally fine.
-  Armv8Model Baseline{Armv8Model::Config::baseline()};
+  Armv8Model Baseline;
+  Baseline.setAxiomMask(baselineMask(Baseline.axioms()));
   EXPECT_TRUE(Baseline.consistent(X));
 }
 
@@ -108,7 +109,8 @@ TEST(ElisionCheckTest, Armv8CounterexampleFound) {
   // Table 2: lock elision is unsound on ARMv8 — found quickly (63s for
   // Memalloy; our explicit search needs a few seconds at most).
   Armv8Model Tm;
-  Armv8Model Spec{Armv8Model::Config::baseline()};
+  Armv8Model Spec;
+  Spec.setAxiomMask(baselineMask(Spec.axioms()));
   ElisionResult R =
       checkLockElision(Tm, Spec, Arch::Armv8, false, 7, 300.0);
   ASSERT_TRUE(R.CounterexampleFound);
@@ -119,7 +121,8 @@ TEST(ElisionCheckTest, Armv8CounterexampleFound) {
 TEST(ElisionCheckTest, Armv8FixedSpinlockSound) {
   // Table 2: with the DMB appended, no counterexample at the same bound.
   Armv8Model Tm;
-  Armv8Model Spec{Armv8Model::Config::baseline()};
+  Armv8Model Spec;
+  Spec.setAxiomMask(baselineMask(Spec.axioms()));
   ElisionResult R =
       checkLockElision(Tm, Spec, Arch::Armv8, true, 7, 300.0);
   EXPECT_FALSE(R.CounterexampleFound)
@@ -131,7 +134,8 @@ TEST(ElisionCheckTest, X86Sound) {
   // Table 2 reports a >48h timeout with no counterexample for x86; our
   // bounded search is exhaustive at this scale and confirms soundness.
   X86Model Tm;
-  X86Model Spec{X86Model::Config::baseline()};
+  X86Model Spec;
+  Spec.setAxiomMask(baselineMask(Spec.axioms()));
   ElisionResult R = checkLockElision(Tm, Spec, Arch::X86, false, 7, 300.0);
   EXPECT_FALSE(R.CounterexampleFound)
       << R.Abstract.dump() << R.Concrete.dump();

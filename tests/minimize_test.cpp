@@ -84,9 +84,8 @@ TEST(MinimizeTest, MinimisedWitnessStaysExhibitedByBuggyRtl) {
   // spec from RTL.
   Execution X = shapes::lockElisionConcrete(/*FixedSpinlock=*/true);
   Armv8Model Spec;
-  Armv8Model::Config BuggyCfg;
-  BuggyCfg.TxnOrder = false;
-  Armv8Model Buggy(BuggyCfg);
+  Armv8Model Buggy;
+  ASSERT_TRUE(Buggy.setAxiomEnabled("TxnOrder", false));
   Vocabulary V = Vocabulary::forArch(Arch::Armv8);
   ASSERT_FALSE(Spec.consistent(X));
   ASSERT_TRUE(Buggy.consistent(X));

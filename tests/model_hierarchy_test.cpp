@@ -44,14 +44,17 @@ void sweep(const Vocabulary &V, unsigned NumEvents, Fn &&Check) {
 struct Models {
   ScModel Sc;
   TscModel Tsc;
-  X86Model X86;
-  X86Model X86Base{X86Model::Config::baseline()};
-  PowerModel Power;
-  PowerModel PowerBase{PowerModel::Config::baseline()};
-  Armv8Model Armv8;
-  Armv8Model Armv8Base{Armv8Model::Config::baseline()};
-  CppModel Cpp;
-  CppModel CppBase{CppModel::Config::baseline()};
+  X86Model X86, X86Base;
+  PowerModel Power, PowerBase;
+  Armv8Model Armv8, Armv8Base;
+  CppModel Cpp, CppBase;
+
+  Models() {
+    X86Base.setAxiomMask(baselineMask(X86Base.axioms()));
+    PowerBase.setAxiomMask(baselineMask(PowerBase.axioms()));
+    Armv8Base.setAxiomMask(baselineMask(Armv8Base.axioms()));
+    CppBase.setAxiomMask(baselineMask(CppBase.axioms()));
+  }
 };
 
 class HierarchySweep : public ::testing::TestWithParam<unsigned> {

@@ -95,9 +95,8 @@ TEST(MonotonicityTest, CppHoldsAtSmallBounds) {
 
 TEST(MonotonicityTest, PowerWithoutTxnCancelsRmwHolds) {
   // Ablation: TxnCancelsRMW is exactly what breaks monotonicity.
-  PowerModel::Config C;
-  C.TxnCancelsRmw = false;
-  PowerModel M(C);
+  PowerModel M;
+  ASSERT_TRUE(M.setAxiomEnabled("TxnCancelsRMW", false));
   Vocabulary V = Vocabulary::forArch(Arch::Power);
   MonotonicityResult R = checkMonotonicity(M, V, 2, 60.0);
   EXPECT_FALSE(R.CounterexampleFound);

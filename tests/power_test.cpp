@@ -93,11 +93,12 @@ TEST(PowerTmTest, Sec52Execution1ForbiddenByIntegratedBarrier) {
   EXPECT_EQ(R.FailedAxiom, "Observation");
 
   // Without tprop1 (the integrated memory barrier) it is allowed.
-  PowerModel::Config NoTprop1;
-  NoTprop1.TProp1 = false;
-  EXPECT_TRUE(PowerModel(NoTprop1).consistent(X));
+  PowerModel NoTprop1;
+  ASSERT_TRUE(NoTprop1.setAxiomEnabled("tprop1", false));
+  EXPECT_TRUE(NoTprop1.consistent(X));
   // The baseline without transactions allows it too.
-  PowerModel Baseline{PowerModel::Config::baseline()};
+  PowerModel Baseline;
+  Baseline.setAxiomMask(baselineMask(Baseline.axioms()));
   EXPECT_TRUE(Baseline.consistent(X));
 }
 
@@ -108,9 +109,9 @@ TEST(PowerTmTest, Sec52Execution2ForbiddenByMulticopyAtomicity) {
   EXPECT_FALSE(R.Consistent);
   EXPECT_EQ(R.FailedAxiom, "Observation");
 
-  PowerModel::Config NoTprop2;
-  NoTprop2.TProp2 = false;
-  EXPECT_TRUE(PowerModel(NoTprop2).consistent(X));
+  PowerModel NoTprop2;
+  ASSERT_TRUE(NoTprop2.setAxiomEnabled("tprop2", false));
+  EXPECT_TRUE(NoTprop2.consistent(X));
 }
 
 TEST(PowerTmTest, Sec52Execution3ForbiddenByTransactionOrdering) {
@@ -118,9 +119,9 @@ TEST(PowerTmTest, Sec52Execution3ForbiddenByTransactionOrdering) {
   PowerModel Tm;
   EXPECT_FALSE(Tm.consistent(X));
 
-  PowerModel::Config NoThb;
-  NoThb.Thb = false;
-  EXPECT_TRUE(PowerModel(NoThb).consistent(X));
+  PowerModel NoThb;
+  ASSERT_TRUE(NoThb.setAxiomEnabled("thb", false));
+  EXPECT_TRUE(NoThb.consistent(X));
 }
 
 TEST(PowerTmTest, IriwWithOneTransactionAllowed) {
@@ -168,7 +169,8 @@ TEST(PowerTmTest, TfenceActsLikeSync) {
 
   PowerModel Tm;
   EXPECT_FALSE(Tm.consistent(X));
-  PowerModel Baseline{PowerModel::Config::baseline()};
+  PowerModel Baseline;
+  Baseline.setAxiomMask(baselineMask(Baseline.axioms()));
   EXPECT_TRUE(Baseline.consistent(X));
 }
 
@@ -183,19 +185,20 @@ TEST(PowerTmTest, DongolComparisonShapeForbidden) {
   EXPECT_FALSE(Tm.consistent(X));
 
   // Dropping only thb keeps it forbidden via StrongIsol...
-  PowerModel::Config NoThb;
-  NoThb.Thb = false;
-  NoThb.TxnOrder = false;
-  EXPECT_FALSE(PowerModel(NoThb).consistent(X));
+  PowerModel NoThb;
+  ASSERT_TRUE(NoThb.setAxiomEnabled("thb", false));
+  ASSERT_TRUE(NoThb.setAxiomEnabled("TxnOrder", false));
+  EXPECT_FALSE(NoThb.consistent(X));
   // ...and dropping isolation as well finally admits it.
-  PowerModel::Config NoOrdering = NoThb;
-  NoOrdering.StrongIsol = false;
-  EXPECT_TRUE(PowerModel(NoOrdering).consistent(X));
+  PowerModel NoOrdering = NoThb;
+  ASSERT_TRUE(NoOrdering.setAxiomEnabled("StrongIsol", false));
+  EXPECT_TRUE(NoOrdering.consistent(X));
 }
 
 TEST(PowerTmTest, TransactionFreeExecutionsUnchanged) {
   PowerModel Tm;
-  PowerModel Baseline{PowerModel::Config::baseline()};
+  PowerModel Baseline;
+  Baseline.setAxiomMask(baselineMask(Baseline.axioms()));
   for (const Execution &X :
        {shapes::storeBuffering(), shapes::messagePassing(),
         shapes::messagePassingDep(true), shapes::loadBuffering(true),

@@ -21,7 +21,8 @@ namespace {
 
 TEST(RtlBugTest, ForbidSuiteCatchesTxnOrderViolation) {
   Armv8Model Tm;
-  Armv8Model Baseline{Armv8Model::Config::baseline()};
+  Armv8Model Baseline;
+  Baseline.setAxiomMask(baselineMask(Baseline.axioms()));
   // TxnOrder-only witnesses first appear at 4 events and need no
   // dependencies (a release write ordered before the transaction's
   // conflicting store); restrict the vocabulary so the 4-event synthesis
@@ -64,7 +65,8 @@ TEST(RtlBugTest, TxnOrderOnlyWitnessShape) {
   ConsistencyResult C = Tm.check(X);
   ASSERT_FALSE(C.Consistent);
   EXPECT_EQ(C.FailedAxiom, "TxnOrder");
-  Armv8Model Baseline{Armv8Model::Config::baseline()};
+  Armv8Model Baseline;
+  Baseline.setAxiomMask(baselineMask(Baseline.axioms()));
   EXPECT_TRUE(Baseline.consistent(X));
   EXPECT_TRUE(ImplModel::armv8BuggyRtl().consistent(X));
   Vocabulary V = Vocabulary::forArch(Arch::Armv8);
@@ -75,7 +77,8 @@ TEST(RtlBugTest, BuggyRtlIsWeakerThanSpec) {
   // Whatever the spec allows, the buggy RTL allows (dropping an axiom
   // only adds behaviours) — checked on the Allow suite.
   Armv8Model Tm;
-  Armv8Model Baseline{Armv8Model::Config::baseline()};
+  Armv8Model Baseline;
+  Baseline.setAxiomMask(baselineMask(Baseline.axioms()));
   Vocabulary V = Vocabulary::forArch(Arch::Armv8);
   ForbidSuite Suite = synthesizeForbid(Tm, Baseline, V, 3, 60.0);
   std::vector<Execution> Allow = relaxationsOf(Suite.Tests, V);

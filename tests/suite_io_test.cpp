@@ -36,7 +36,8 @@ protected:
 
   ForbidSuite suite() {
     X86Model Tm;
-    X86Model Baseline{X86Model::Config::baseline()};
+    X86Model Baseline;
+    Baseline.setAxiomMask(baselineMask(Baseline.axioms()));
     Vocabulary V = Vocabulary::forArch(Arch::X86);
     return synthesizeForbid(Tm, Baseline, V, 3, 120.0);
   }
@@ -69,7 +70,8 @@ TEST_F(SuiteIoTest, FilesCarryProvenanceAndParseBack) {
   // its postcondition is unreachable under x86+TM.
   X86Model Tm;
   EXPECT_FALSE(postconditionReachable(R.Prog, Tm));
-  X86Model Baseline{X86Model::Config::baseline()};
+  X86Model Baseline;
+  Baseline.setAxiomMask(baselineMask(Baseline.axioms()));
   EXPECT_TRUE(postconditionReachable(R.Prog, Baseline));
 }
 

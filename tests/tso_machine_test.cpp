@@ -31,6 +31,8 @@ post reg 1 r1 0
 )");
   TsoMachine M(P);
   EXPECT_TRUE(M.postconditionObservable());
+  // Every (r1, r1) combination is reachable, the weak (0, 0) included.
+  EXPECT_EQ(M.reachableOutcomes().size(), 4u);
 }
 
 TEST(TsoMachineTest, MfenceForbidsStoreBuffering) {

@@ -105,7 +105,8 @@ TEST(X86TmTest, TfenceForbidsStoreBufferingAroundTransactions) {
   X86Model Tm;
   EXPECT_FALSE(Tm.consistent(X));
   // The non-transactional baseline ignores stxn and allows it.
-  X86Model Baseline{X86Model::Config::baseline()};
+  X86Model Baseline;
+  Baseline.setAxiomMask(baselineMask(Baseline.axioms()));
   EXPECT_TRUE(Baseline.consistent(X));
 }
 
@@ -123,7 +124,8 @@ TEST(X86TmTest, StrongIsolationEnforced) {
   X86Model Tm;
   ConsistencyResult Res = Tm.check(X);
   EXPECT_FALSE(Res.Consistent);
-  X86Model Baseline{X86Model::Config::baseline()};
+  X86Model Baseline;
+  Baseline.setAxiomMask(baselineMask(Baseline.axioms()));
   EXPECT_TRUE(Baseline.consistent(X));
 }
 
@@ -141,7 +143,8 @@ TEST(X86TmTest, TxnOrderForbidsUnserialisableTransactions) {
 
   X86Model Tm;
   EXPECT_FALSE(Tm.consistent(X));
-  X86Model Baseline{X86Model::Config::baseline()};
+  X86Model Baseline;
+  Baseline.setAxiomMask(baselineMask(Baseline.axioms()));
   EXPECT_TRUE(Baseline.consistent(X));
 }
 
@@ -149,7 +152,8 @@ TEST(X86TmTest, TransactionFreeExecutionsUnchanged) {
   // §8: the TM model gives the same semantics to transaction-free
   // executions as the original model.
   X86Model Tm;
-  X86Model Baseline{X86Model::Config::baseline()};
+  X86Model Baseline;
+  Baseline.setAxiomMask(baselineMask(Baseline.axioms()));
   for (const Execution &X :
        {shapes::storeBuffering(), shapes::messagePassing(),
         shapes::loadBuffering(false), shapes::iriw(),
@@ -169,13 +173,14 @@ TEST(X86TmTest, AblationFlagsAreIndependent) {
   B.txn({W1});
   Execution X = B.build();
 
-  X86Model::Config NoTfence;
-  NoTfence.Tfence = false;
-  EXPECT_TRUE(X86Model(NoTfence).consistent(X));
+  X86Model NoTfence;
+  ASSERT_TRUE(NoTfence.setAxiomEnabled("tfence", false));
+  EXPECT_TRUE(NoTfence.consistent(X));
 
-  X86Model::Config OnlyTfence = X86Model::Config::baseline();
-  OnlyTfence.Tfence = true;
-  EXPECT_FALSE(X86Model(OnlyTfence).consistent(X));
+  X86Model OnlyTfence;
+  OnlyTfence.setAxiomMask(baselineMask(OnlyTfence.axioms()));
+  ASSERT_TRUE(OnlyTfence.setAxiomEnabled("tfence", true));
+  EXPECT_FALSE(OnlyTfence.consistent(X));
 }
 
 TEST(X86TmTest, CommittedTransactionActsAsSingleEvent) {
