@@ -5,21 +5,9 @@
 /// (`MemoryModel::axioms()` — nothing is hardcoded here), synthesise the
 /// model's Forbid suite, drop the axiom via a registry spec
 /// ("power/-TxnOrder", ...), and report how many Forbid tests become
-/// allowed — i.e. how much of the conformance suite each axiom carries —
-/// plus the consistency-check throughput of each ablated configuration.
+/// allowed — i.e. how much of the conformance suite each axiom carries.
 /// Includes the §9 comparison (Dongol-style atomicity-only models) and the
 /// §6.2 buggy-RTL configuration as ordinary rows of the sweep.
-///
-/// Ablation is the canonical many-models-one-execution workload, so this
-/// bench also measures the consistency-check hot path three ways —
-/// re-derived per access (the historical uncached behaviour), derived
-/// relations memoized in a shared `ExecutionAnalysis`, and the full
-/// config set routed through one compiled cross-spec plan
-/// (models/EvalPlan.h; resolution and compilation hoisted out of the
-/// timed region) — and emits everything to `BENCH_ablation_axioms.json`.
-///
-/// A `--jobs` sweep of the work-stealing synthesis (wall seconds per job
-/// count) rides along in the JSON, tracking parallel scaling per commit.
 ///
 /// Knobs: `--jobs N` shards the Forbid synthesis across N threads;
 /// `--smoke` shrinks budgets for CI (a seconds-scale run that still
@@ -29,97 +17,16 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
-#include "models/EvalPlan.h"
 #include "models/ModelRegistry.h"
 #include "synth/Conformance.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 using namespace tmw;
-
-namespace {
-
-double secondsSince(std::chrono::steady_clock::time_point Start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       Start)
-      .count();
-}
-
-/// Measure checks/sec of \p Models over \p Corpus, with one shared
-/// memoized analysis per execution (Cached) or per-access recomputation
-/// (the uncached seed behaviour).
-double checksPerSec(const std::vector<Execution> &Corpus,
-                    const std::vector<const MemoryModel *> &Models,
-                    bool Cached, double MinSeconds) {
-  uint64_t Checks = 0;
-  volatile unsigned Guard = 0;
-  auto Start = std::chrono::steady_clock::now();
-  do {
-    for (const Execution &X : Corpus) {
-      if (Cached) {
-        ExecutionAnalysis A(X);
-        for (const MemoryModel *M : Models) {
-          Guard = Guard + M->check(A).Consistent;
-          ++Checks;
-        }
-      } else {
-        for (const MemoryModel *M : Models) {
-          ExecutionAnalysis A(X, AnalysisCaching::Recompute);
-          Guard = Guard + M->check(A).Consistent;
-          ++Checks;
-        }
-      }
-    }
-  } while (secondsSince(Start) < MinSeconds);
-  return static_cast<double>(Checks) / secondsSince(Start);
-}
-
-/// The same workload through a compiled cross-spec plan
-/// (models/EvalPlan.h): shared obligations evaluated once per execution,
-/// subsumed verdicts short-circuited. Spec resolution and plan
-/// compilation both happen once, before the clock starts — only the
-/// per-execution evaluation is timed, mirroring `checksPerSec`.
-double plannedChecksPerSec(const std::vector<Execution> &Corpus,
-                           const std::vector<const MemoryModel *> &Models,
-                           double MinSeconds) {
-  EvalPlan Plan = EvalPlan::compile(Models);
-  EvalPlan::Scratch S = Plan.makeScratch();
-  uint64_t Checks = 0;
-  volatile unsigned Guard = 0;
-  auto Start = std::chrono::steady_clock::now();
-  do {
-    for (const Execution &X : Corpus) {
-      ExecutionAnalysis A(X);
-      Plan.evaluate(A, S);
-      for (size_t M = 0; M < Models.size(); ++M)
-        Guard = Guard + S.consistent(M);
-      Checks += Models.size();
-    }
-  } while (secondsSince(Start) < MinSeconds);
-  return static_cast<double>(Checks) / secondsSince(Start);
-}
-
-/// A bounded corpus of transaction placements over enumerated bases.
-std::vector<Execution> placementCorpus(Arch A, unsigned MaxE,
-                                       unsigned Cap) {
-  std::vector<Execution> Corpus;
-  Vocabulary V = Vocabulary::forArch(A);
-  ExecutionEnumerator Enum(V, MaxE);
-  Enum.forEachBase([&](Execution &Base) {
-    return Enum.forEachTxnPlacement(Base, [&](Execution &X) {
-      Corpus.push_back(X);
-      return Corpus.size() < Cap;
-    }) && Corpus.size() < Cap;
-  });
-  return Corpus;
-}
-
-} // namespace
 
 int main(int argc, char **argv) {
   bench::header("Ablations: what each axiom of each model carries",
@@ -131,9 +38,6 @@ int main(int argc, char **argv) {
   double Budget = bench::budgetSeconds(Smoke ? 2.0 : 60.0);
   unsigned MaxE = bench::maxEvents(Smoke ? 3 : 4);
   unsigned Jobs = bench::jobs(argc, argv);
-  double MeasureSeconds = Smoke ? 0.02 : 0.25;
-
-  std::string PerAxiomJson;
 
   //===------------------------------------------------------------------===
   // Registry-driven sweep: every single-axiom ablation of every model,
@@ -168,32 +72,18 @@ int main(int argc, char **argv) {
         Forbid.insert(Forbid.end(), S.Tests.begin(), S.Tests.end());
       }
 
-    std::vector<Execution> Corpus =
-        placementCorpus(A, std::min(ArchMaxE, 3u), Smoke ? 128 : 256);
-
     std::printf("\n%s: %u axioms, %zu Forbid tests (|E| <= %u, %u job%s)\n",
                 Tm->name(), NumAxioms, Forbid.size(), ArchMaxE, Jobs,
                 Jobs == 1 ? "" : "s");
-    std::printf("  %-28s %16s %14s\n", "dropped axiom",
-                "tests now allowed", "checks/sec");
+    std::printf("  %-28s %16s\n", "dropped axiom", "tests now allowed");
     for (const Axiom &Ax : Axioms) {
       std::string Spec = ArchSpec + "/-" + std::string(Ax.Name);
       std::unique_ptr<MemoryModel> Ablated = ModelRegistry::parse(Spec);
       unsigned NowAllowed = 0;
       for (const Execution &X : Forbid)
         NowAllowed += Ablated->consistent(X);
-      double Cps = checksPerSec(Corpus, {Ablated.get()}, /*Cached=*/true,
-                                MeasureSeconds);
-      std::printf("  %-28s %10u / %-5zu %12.0f\n", Spec.c_str(),
-                  NowAllowed, Forbid.size(), Cps);
-
-      char Entry[256];
-      std::snprintf(Entry, sizeof(Entry),
-                    "%s{\"spec\": \"%s\", \"forbid_tests\": %zu, "
-                    "\"now_allowed\": %u, \"checks_per_sec\": %.0f}",
-                    PerAxiomJson.empty() ? "" : ", ", Spec.c_str(),
-                    Forbid.size(), NowAllowed, Cps);
-      PerAxiomJson += Entry;
+      std::printf("  %-28s %10u / %zu\n", Spec.c_str(), NowAllowed,
+                  Forbid.size());
     }
   }
 
@@ -202,68 +92,5 @@ int main(int argc, char **argv) {
               "0 means the axiom is load-bearing (§6.2's\nRTL bug is the "
               "armv8/-TxnOrder row; §9's atomicity-only comparison is the "
               "thb/\ntprop rows on Power).\n");
-
-  //===------------------------------------------------------------------===
-  // Hot-path throughput: memoized ExecutionAnalysis vs uncached per-access
-  // recomputation over the ablation workload (every x86 configuration
-  // evaluated on every corpus execution).
-  //===------------------------------------------------------------------===
-  std::printf("\nConsistency-check throughput (x86 vocabulary, all "
-              "ablation configs):\n");
-
-  std::vector<Execution> Corpus =
-      placementCorpus(Arch::X86, std::min(MaxE, 4u), 512);
-
-  std::vector<std::unique_ptr<MemoryModel>> Configs;
-  for (const char *Spec : {"x86", "x86/-tfence", "x86/-StrongIsol",
-                           "x86/-TxnOrder", "x86/+baseline"})
-    Configs.push_back(ModelRegistry::parse(Spec));
-  std::vector<const MemoryModel *> Models;
-  for (const auto &M : Configs)
-    Models.push_back(M.get());
-
-  double MinSeconds = Smoke ? 0.2 : 1.0;
-  double Uncached =
-      checksPerSec(Corpus, Models, /*Cached=*/false, MinSeconds);
-  double Cached = checksPerSec(Corpus, Models, /*Cached=*/true, MinSeconds);
-  double Planned = plannedChecksPerSec(Corpus, Models, MinSeconds);
-  double Speedup = Uncached > 0 ? Cached / Uncached : 0.0;
-  double PlanSpeedup = Cached > 0 ? Planned / Cached : 0.0;
-  std::printf("  uncached (per-access recompute): %12.0f checks/sec\n",
-              Uncached);
-  std::printf("  cached (shared ExecutionAnalysis): %10.0f checks/sec\n",
-              Cached);
-  std::printf("  planned (cross-spec eval plan):  %12.0f checks/sec\n",
-              Planned);
-  std::printf("  memoization speedup: %.2fx; plan on top: %.2fx\n", Speedup,
-              PlanSpeedup);
-
-  //===------------------------------------------------------------------===
-  // Jobs sweep of the work-stealing x86 Forbid synthesis (within budget
-  // the test set is deterministic across the sweep; only wall time moves).
-  //===------------------------------------------------------------------===
-  std::printf("\nSynthesis jobs sweep (x86, |E| = %u, work-stealing):\n",
-              MaxE);
-  std::unique_ptr<MemoryModel> SweepTm = ModelRegistry::parse("x86");
-  std::unique_ptr<MemoryModel> SweepBase =
-      ModelRegistry::parse("x86/+baseline");
-  std::string SweepJson = bench::synthesisJobsSweepJson(
-      *SweepTm, *SweepBase, Vocabulary::forArch(Arch::X86), MaxE, Budget);
-
-  char Head[512];
-  std::snprintf(Head, sizeof(Head),
-                "{\"bench\": \"ablation_axioms\", \"jobs\": %u, "
-                "\"smoke\": %s, \"corpus_executions\": %zu, "
-                "\"model_configs\": %zu, "
-                "\"uncached_checks_per_sec\": %.0f, "
-                "\"cached_checks_per_sec\": %.0f, "
-                "\"planned_checks_per_sec\": %.0f, \"speedup\": %.3f, "
-                "\"plan_speedup\": %.3f, \"jobs_sweep\": [",
-                Jobs, Smoke ? "true" : "false", Corpus.size(),
-                Models.size(), Uncached, Cached, Planned, Speedup,
-                PlanSpeedup);
-  bench::writeBenchJson("ablation_axioms", std::string(Head) + SweepJson +
-                                               "], \"per_axiom\": [" +
-                                               PerAxiomJson + "]}");
   return 0;
 }

@@ -3,70 +3,22 @@
 /// Prints the full verdict matrix of the litmus corpus — for every test,
 /// whether the weak outcome is reachable under SC, TSC, x86+TM, Power+TM,
 /// ARMv8+TM and the simulated POWER8 (now just the registry spec
-/// "power8"), plus the operational TSX machine — and benchmarks the batch
-/// query engine that produces it against the historical per-model
-/// re-enumeration loop.
-///
-/// The engine enumerates each program's candidates once and fans them out
-/// to all requested models over one shared `ExecutionAnalysis`; the
-/// baseline re-enumerates per model and analyses per (candidate, model) —
-/// exactly what this bench (and litmus_tool, and the table benches) used
-/// to hand-roll. `BENCH_corpus_matrix.json` tracks the speedup on the
-/// corpus × six-model workload; ≥2x is the regression bar.
+/// "power8"), plus the operational TSX machine. The matrix comes from one
+/// batch of the query engine, which enumerates each program's candidates
+/// once and fans them out to all requested models.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
-#include "enumerate/Candidates.h"
 #include "hw/TsoMachine.h"
 #include "litmus/Library.h"
-#include "models/ModelRegistry.h"
 #include "query/QueryEngine.h"
 
-#include <chrono>
-#include <string>
 #include <vector>
 
 using namespace tmw;
 
 namespace {
-
-double secondsSince(std::chrono::steady_clock::time_point Start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       Start)
-      .count();
-}
-
-/// The per-model aggregate the baseline computes — the same facts a
-/// `ModelVerdict` carries, for the equivalence check.
-struct Agg {
-  bool Allowed = false;
-  uint64_t Consistent = 0;
-};
-
-/// The historical flow: one full candidate enumeration per (model,
-/// program), one throwaway analysis per (candidate, model).
-double runBaseline(const std::vector<CorpusEntry> &Corpus,
-                   const std::vector<const char *> &Specs,
-                   std::vector<std::vector<Agg>> &Out) {
-  auto T0 = std::chrono::steady_clock::now();
-  Out.assign(Specs.size(), std::vector<Agg>(Corpus.size()));
-  for (size_t S = 0; S < Specs.size(); ++S) {
-    std::unique_ptr<MemoryModel> M = ModelRegistry::parse(Specs[S]);
-    for (size_t E = 0; E < Corpus.size(); ++E) {
-      Agg &A = Out[S][E];
-      const Program &P = Corpus[E].Prog;
-      forEachCandidate(P, [&](const Candidate &C) {
-        if (M->consistent(C.X)) {
-          ++A.Consistent;
-          A.Allowed |= C.O.satisfies(P);
-        }
-        return true;
-      });
-    }
-  }
-  return secondsSince(T0);
-}
 
 std::vector<CheckRequest>
 makeRequests(const std::vector<CorpusEntry> &Corpus,
@@ -121,85 +73,5 @@ int main(int argc, char **argv) {
               "columns report\nwhether the simulated machines exhibit it. "
               "Note Example1.1: allowed under\nARMv8+TM (the paper's "
               "headline), forbidden on x86.\n");
-
-  // ----- Throughput: engine vs per-model re-enumeration ----------------
-  // The six-model workload of the acceptance bar: every corpus test
-  // checked under all six architecture models, replicated `Reps` times so
-  // the batch has corpus-scale depth (stable timings, enough requests for
-  // the pool to balance) — the "verdict matrix per commit across many
-  // configurations" serving shape.
-  const std::vector<const char *> BenchSpecs = {"sc",    "tsc",   "x86",
-                                                "power", "armv8", "cpp"};
-  const unsigned Reps = 8;
-  std::vector<CheckRequest> Requests;
-  for (unsigned Rep = 0; Rep < Reps; ++Rep)
-    for (CheckRequest &R : makeRequests(Corpus, BenchSpecs))
-      Requests.push_back(std::move(R));
-
-  std::vector<std::vector<Agg>> Base;
-  double BaselineSec = 1e18;
-  for (unsigned Rep = 0; Rep < Reps; ++Rep)
-    BaselineSec = std::min(BaselineSec, runBaseline(Corpus, BenchSpecs, Base));
-  BaselineSec *= Reps;
-
-  BatchTelemetry T1;
-  std::vector<CheckResponse> R1 = QueryEngine({1}).runAll(Requests, &T1);
-  BatchTelemetry TN;
-  std::vector<CheckResponse> RN = QueryEngine({Jobs}).runAll(Requests, &TN);
-
-  // The redesign must not change a single verdict: engine vs baseline,
-  // fact for fact.
-  for (const std::vector<CheckResponse> *Batch : {&R1, &RN})
-    for (const CheckResponse &R : *Batch)
-      if (!R || R.Verdicts.size() != BenchSpecs.size()) {
-        std::fprintf(stderr, "error: %s: %s\n", R.Name.c_str(),
-                     R.Error.c_str());
-        return 1;
-      }
-  for (size_t E = 0; E < Corpus.size(); ++E)
-    for (size_t S = 0; S < BenchSpecs.size(); ++S) {
-      const ModelVerdict &V = R1[E].Verdicts[S];
-      if (V.Allowed != Base[S][E].Allowed ||
-          V.Consistent != Base[S][E].Consistent ||
-          V.Allowed != RN[E].Verdicts[S].Allowed) {
-        std::fprintf(stderr,
-                     "MISMATCH: %s under %s: engine says allowed=%d/%llu, "
-                     "baseline %d/%llu\n",
-                     Corpus[E].Name.c_str(), BenchSpecs[S], V.Allowed,
-                     static_cast<unsigned long long>(V.Consistent),
-                     Base[S][E].Allowed,
-                     static_cast<unsigned long long>(Base[S][E].Consistent));
-        return 1;
-      }
-    }
-
-  double Speedup1 = BaselineSec / T1.Seconds;
-  double SpeedupN = BaselineSec / TN.Seconds;
-  double Speedup = std::max(Speedup1, SpeedupN);
-  std::printf("\ncorpus x six-model workload (x%u): %llu programs, %llu "
-              "candidates, %llu checks\n",
-              Reps, static_cast<unsigned long long>(T1.Programs),
-              static_cast<unsigned long long>(T1.Candidates),
-              static_cast<unsigned long long>(T1.Checks));
-  std::printf("  baseline (re-enumerate per model): %8.3fs\n", BaselineSec);
-  std::printf("  engine --jobs 1 (enumerate once):  %8.3fs  (%.2fx)\n",
-              T1.Seconds, Speedup1);
-  std::printf("  engine --jobs %-2u (+ pool batching): %7.3fs  (%.2fx)\n",
-              Jobs, TN.Seconds, SpeedupN);
-
-  char Json[640];
-  std::snprintf(
-      Json, sizeof(Json),
-      "{\"bench\": \"corpus_matrix\", \"programs\": %llu, \"specs\": %zu, "
-      "\"reps\": %u, \"candidates\": %llu, \"checks\": %llu, "
-      "\"baseline_seconds\": %.4f, \"engine_seconds_jobs1\": %.4f, "
-      "\"engine_seconds_jobsN\": %.4f, \"jobs\": %u, "
-      "\"speedup_jobs1\": %.3f, \"speedup_jobsN\": %.3f, "
-      "\"speedup\": %.3f}",
-      static_cast<unsigned long long>(T1.Programs), BenchSpecs.size(), Reps,
-      static_cast<unsigned long long>(T1.Candidates),
-      static_cast<unsigned long long>(T1.Checks), BaselineSec, T1.Seconds,
-      TN.Seconds, Jobs, Speedup1, SpeedupN, Speedup);
-  bench::writeBenchJson("corpus_matrix", Json);
   return 0;
 }

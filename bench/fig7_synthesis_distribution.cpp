@@ -7,9 +7,7 @@
 /// too: it visits small-skeleton candidates first.
 ///
 /// Prints a cumulative textual plot: % of tests found vs % of synthesis
-/// time, then sweeps `--jobs` over the work-stealing synthesis and emits
-/// `BENCH_fig7_synthesis_distribution.json` (distribution stats plus the
-/// per-jobs wall times).
+/// time.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +17,8 @@
 #include "synth/Conformance.h"
 
 #include <algorithm>
-#include <string>
+#include <memory>
+#include <vector>
 
 using namespace tmw;
 
@@ -70,20 +69,5 @@ int main(int argc, char **argv) {
               "(paper: 98%% of the 7-event tests within 6%% = 2h of 34h)\n",
               EarlyPct);
 
-  // The same synthesis across a jobs sweep (work-stealing pool): within
-  // budget the test set is deterministic, so only the wall time moves.
-  std::printf("\nJobs sweep (work-stealing):\n");
-  std::string SweepJson =
-      bench::synthesisJobsSweepJson(Tm, *Baseline, V, N, Budget);
-
-  char Head[256];
-  std::snprintf(Head, sizeof(Head),
-                "{\"bench\": \"fig7_synthesis_distribution\", "
-                "\"num_events\": %u, \"jobs\": %u, \"tests\": %zu, "
-                "\"synthesis_seconds\": %.4f, "
-                "\"found_within_6pct\": %.2f, \"jobs_sweep\": [",
-                N, Jobs, S.Tests.size(), S.SynthesisSeconds, EarlyPct);
-  bench::writeBenchJson("fig7_synthesis_distribution",
-                        std::string(Head) + SweepJson + "]}");
   return 0;
 }

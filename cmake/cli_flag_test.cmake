@@ -3,11 +3,14 @@
 # Run as a ctest script:  cmake -DBIN_DIR=<build dir> -P cli_flag_test.cmake
 #
 # Every tool funnels its count-valued flags through bench::parseCountStrict
-# (tests/BenchUtil.h): the whole operand must be a positive decimal number,
-# anything else — letters, trailing junk, zero where a minimum of one is
-# required, a missing operand — is a usage error and must exit 2 before any
-# work starts. One stray accepted flag here means a typo like `--jobs 4x`
-# silently ran single-threaded, so each case is pinned individually.
+# or bench::parseJobsStrict (bench/BenchUtil.h): the whole operand must be a
+# decimal number, anything else — letters, trailing junk, zero where a
+# minimum of one is required, a missing operand — is a usage error and must
+# exit 2 before any work starts. The paper benches' environment knobs
+# (TMW_BENCH_MAX_EVENTS, TMW_BENCH_BUDGET_SECONDS) are held to the same
+# rule. One stray accepted flag here means a typo like `--jobs 4x` silently
+# ran single-threaded, or `TMW_BENCH_MAX_EVENTS=foo` printed an empty table
+# and exited 0, so each case is pinned individually.
 
 if(NOT DEFINED BIN_DIR)
   message(FATAL_ERROR "pass -DBIN_DIR=<directory containing the built tools>")
@@ -16,15 +19,28 @@ endif()
 set(FAILURES 0)
 
 # expect_exit(<code> <tool> [args...]) - run a tool, require an exact status.
-function(expect_exit EXPECTED TOOL)
+# <tool> may be preceded by VAR=value environment assignments, which apply
+# to that one run only.
+function(expect_exit EXPECTED)
+  set(ENV_ASSIGNMENTS "")
+  set(ARGS ${ARGN})
+  list(GET ARGS 0 TOOL)
+  while(TOOL MATCHES "^[A-Z_]+=")
+    list(APPEND ENV_ASSIGNMENTS ${TOOL})
+    list(REMOVE_AT ARGS 0)
+    list(GET ARGS 0 TOOL)
+  endwhile()
+  list(REMOVE_AT ARGS 0)
   execute_process(
-    COMMAND ${BIN_DIR}/${TOOL} ${ARGN}
+    COMMAND ${CMAKE_COMMAND} -E env ${ENV_ASSIGNMENTS}
+            ${BIN_DIR}/${TOOL} ${ARGS}
     RESULT_VARIABLE STATUS
     OUTPUT_QUIET
     ERROR_VARIABLE STDERR)
   if(NOT STATUS EQUAL ${EXPECTED})
+    string(JOIN " " CASE ${ARGN})
     message(SEND_ERROR
-        "${TOOL} ${ARGN}: expected exit ${EXPECTED}, got '${STATUS}'\n${STDERR}")
+        "${CASE}: expected exit ${EXPECTED}, got '${STATUS}'\n${STDERR}")
     math(EXPR FAILURES "${FAILURES}+1")
     set(FAILURES ${FAILURES} PARENT_SCOPE)
   endif()
@@ -48,9 +64,19 @@ expect_exit(2 litmus_tool --corpus --jobs 0)
 expect_exit(2 tmw_lint --bogus-flag)
 expect_exit(2 tmw_lint)            # no inputs and no --corpus is a usage error
 
+# The paper benches' knobs. The small bounds keep a wrongly accepted case
+# quick: it runs a |E| <= 2 search instead of the default one.
+set(SMALL TMW_BENCH_MAX_EVENTS=2 TMW_BENCH_BUDGET_SECONDS=1)
+expect_exit(2 ${SMALL} table1_x86 --jobs)
+expect_exit(2 TMW_BENCH_BUDGET_SECONDS=1 TMW_BENCH_MAX_EVENTS=foo table1_x86)
+expect_exit(2 TMW_BENCH_BUDGET_SECONDS=1 TMW_BENCH_MAX_EVENTS=0 table1_x86)
+expect_exit(2 TMW_BENCH_MAX_EVENTS=2 TMW_BENCH_BUDGET_SECONDS=abc table1_x86)
+expect_exit(2 TMW_BENCH_MAX_EVENTS=2 TMW_BENCH_BUDGET_SECONDS=0 table1_x86)
+
 # --- good values: the same flags must still accept well-formed operands ----
 expect_exit(0 tmw_lint --corpus)
 expect_exit(0 litmus_tool --corpus --cap 4 --specialize on --jobs 2)
+expect_exit(0 ${SMALL} table1_x86 --jobs 2)
 
 if(FAILURES GREATER 0)
   message(FATAL_ERROR "${FAILURES} CLI flag-validation case(s) failed")

@@ -8,7 +8,8 @@
 /// explain each forbidding model's failed axioms. The same API scales to
 /// corpus-sized batches on the work-stealing pool (`BatchOptions::Jobs`)
 /// with deterministic, JSON-serialisable verdicts; see examples/litmus_tool
-/// for the full CLI and bench/corpus_matrix for the batch throughput view.
+/// for the full CLI, bench/corpus_matrix for the corpus verdict matrix and
+/// perfbench/ for batch throughput.
 ///
 //===----------------------------------------------------------------------===//
 

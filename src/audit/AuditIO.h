@@ -5,7 +5,7 @@
 /// `tmw-contract-audit-v1` — in the same fixed-field-order, nothing-
 /// nondeterministic style as the batch query wire form (query/QueryIO.h),
 /// so CI can diff reports across runs and archive them next to the
-/// `BENCH_*.json` artifacts.
+/// `tmw_lint --json` report.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -140,10 +140,6 @@ struct ConnectionMultiplexer::Impl {
            (Opts.AcceptLimit != 0 && Accepted >= Opts.AcceptLimit);
   }
 
-  unsigned fairnessCap() const {
-    return Opts.FairnessCap != 0 ? Opts.FairnessCap : Server.jobs();
-  }
-
   // --- output ------------------------------------------------------------
 
   /// Append every in-order completed document to the wire buffer.
@@ -234,7 +230,7 @@ struct ConnectionMultiplexer::Impl {
           MB->post({ConnId, Seq,
                     responsesToJson(Responses, Telemetry ? &Tele : nullptr)});
         },
-        fairnessCap());
+        /*FairnessCap=*/Server.jobs());
     // Empty batches (id 0) completed inline — their doc is already in
     // the mailbox; nothing to cancel later either way.
     if (BatchId != 0)

@@ -27,9 +27,10 @@
 ///    batch arrival order (out-of-order completions wait their turn). So
 ///    every connection's byte stream is exactly what one-shot
 ///    `litmus_tool --json` would produce for its batches, regardless of
-///    how many rivals are connected. Per-batch fairness caps
-///    (`MuxOptions::FairnessCap`) keep one client's corpus-sized batch
-///    from monopolising the pool.
+///    how many rivals are connected. Each batch is submitted with a
+///    fairness cap of the server's `jobs()` (`QueryServer::submitBatch`),
+///    so one client's corpus-sized batch cannot seed more pool tasks than
+///    there are workers and starve the rest.
 ///
 ///  * **Backpressure.** Output is buffered per connection and written as
 ///    the socket drains. A slow reader whose pending output exceeds
@@ -83,9 +84,6 @@ struct MuxOptions {
   /// Backpressure high-water mark: a connection whose pending output
   /// exceeds this stops being read until it drains below half of it.
   size_t OutputHighWater = 4u << 20;
-  /// Max concurrent pool tasks per batch (0 = the server's jobs()):
-  /// bounds how much of the pool one connection's batch can occupy.
-  unsigned FairnessCap = 0;
   /// Max batches of one connection in flight on the pool at once;
   /// further complete lines wait in the input buffer.
   unsigned MaxBatchesInFlight = 4;

@@ -5,6 +5,7 @@
 ///  * differential — planned engine runs are verdict- and byte-identical
 ///    to independent per-model runs over the whole corpus × a ≥10-spec
 ///    matrix (ablations, wrappers, hierarchy pairs) × Jobs in {1, 4, 16},
+///    and × the 24-spec serving pool × Jobs in {1, 4},
 ///    and plan verdicts equal direct `MemoryModel::consistent` over every
 ///    enumerated execution of every architecture's vocabulary (so an
 ///    unsound subsumption edge or a bad term-sharing salt cannot hide:
@@ -52,6 +53,23 @@ const std::vector<std::string> kMatrix = {
     "power/-thb",  "armv8/-StrongIsol", "cpp/+baseline",
     "power8",      "armv8-rtl"};
 
+/// The 24-spec serving pool: the paper's SC/TSC + hardware-TM lattice as
+/// one verdict matrix across many configurations. Beyond kMatrix it puts
+/// every hardware family's ablations, baselines and wrappers in one set
+/// ("armv8-silicon", "x86-impl", "tsc-impl", "power8/-TxnOrder",
+/// "armv8-rtl/-TxnOrder", "power/-tprop1", "sc/+baseline", ...), so the
+/// edges between them — which compile only when they share a plan — are
+/// audited too.
+const std::vector<std::string> kServingPool = {
+    "tsc",               "x86",              "power",
+    "armv8",             "power/-TxnOrder",  "power8",
+    "sc",                "power/-StrongIsol", "power/+baseline",
+    "armv8-rtl",         "x86/-TxnOrder",    "armv8/-TxnOrder",
+    "armv8-silicon",     "x86/-StrongIsol",  "x86/+baseline",
+    "armv8/-StrongIsol", "armv8/+baseline",  "power/-thb",
+    "power/-tprop1",     "x86-impl",         "power8/-TxnOrder",
+    "tsc-impl",          "sc/+baseline",     "armv8-rtl/-TxnOrder"};
+
 struct ResolvedMatrix {
   std::vector<std::unique_ptr<MemoryModel>> Owned;
   std::vector<const MemoryModel *> Raw;
@@ -66,10 +84,11 @@ struct ResolvedMatrix {
   }
 };
 
-size_t indexOf(const std::string &Spec) {
-  auto It = std::find(kMatrix.begin(), kMatrix.end(), Spec);
-  EXPECT_NE(It, kMatrix.end()) << Spec;
-  return static_cast<size_t>(It - kMatrix.begin());
+size_t indexOf(const std::string &Spec,
+               const std::vector<std::string> &Specs = kMatrix) {
+  auto It = std::find(Specs.begin(), Specs.end(), Spec);
+  EXPECT_NE(It, Specs.end()) << Spec;
+  return static_cast<size_t>(It - Specs.begin());
 }
 
 /// The spec's table family: the registry token before any "/" modifier
@@ -78,12 +97,13 @@ std::string familyOf(const std::string &Spec) {
   return Spec.substr(0, Spec.find('/'));
 }
 
-std::vector<CheckRequest> corpusRequests() {
+std::vector<CheckRequest>
+corpusRequests(const std::vector<std::string> &Specs = kMatrix) {
   std::vector<CheckRequest> Requests;
   for (const CorpusEntry &E : standardCorpus()) {
     CheckRequest R;
     R.Corpus = E.Name;
-    R.ModelSpecs = kMatrix;
+    R.ModelSpecs = Specs;
     R.Explain = true;
     R.WantOutcomes = true;
     Requests.push_back(std::move(R));
@@ -92,22 +112,31 @@ std::vector<CheckRequest> corpusRequests() {
 }
 
 TEST(EvalPlan_, PlannedAndIndependentAreByteIdentical) {
-  std::vector<CheckRequest> Requests = corpusRequests();
-  std::string Reference;
-  for (unsigned Jobs : {1u, 4u, 16u}) {
-    std::vector<CheckResponse> Planned =
-        QueryEngine({.Jobs = Jobs, .Strategy = EvalStrategy::Planned})
-            .runAll(Requests);
-    std::vector<CheckResponse> Independent =
-        QueryEngine({.Jobs = Jobs, .Strategy = EvalStrategy::Independent})
-            .runAll(Requests);
-    std::string PlannedJson = responsesToJson(Planned, nullptr);
-    std::string IndependentJson = responsesToJson(Independent, nullptr);
-    EXPECT_EQ(PlannedJson, IndependentJson) << "Jobs=" << Jobs;
-    if (Reference.empty())
-      Reference = PlannedJson;
-    // And identical across Jobs counts, planned or not.
-    EXPECT_EQ(PlannedJson, Reference) << "Jobs=" << Jobs;
+  struct Input {
+    const std::vector<std::string> &Specs;
+    std::vector<unsigned> Jobs;
+  };
+  for (const Input &In : {Input{kMatrix, {1, 4, 16}},
+                          Input{kServingPool, {1, 4}}}) {
+    std::vector<CheckRequest> Requests = corpusRequests(In.Specs);
+    std::string Reference;
+    for (unsigned Jobs : In.Jobs) {
+      std::vector<CheckResponse> Planned =
+          QueryEngine({.Jobs = Jobs, .Strategy = EvalStrategy::Planned})
+              .runAll(Requests);
+      std::vector<CheckResponse> Independent =
+          QueryEngine({.Jobs = Jobs, .Strategy = EvalStrategy::Independent})
+              .runAll(Requests);
+      std::string PlannedJson = responsesToJson(Planned, nullptr);
+      std::string IndependentJson = responsesToJson(Independent, nullptr);
+      EXPECT_EQ(PlannedJson, IndependentJson)
+          << In.Specs.size() << " specs, Jobs=" << Jobs;
+      if (Reference.empty())
+        Reference = PlannedJson;
+      // And identical across Jobs counts, planned or not.
+      EXPECT_EQ(PlannedJson, Reference)
+          << In.Specs.size() << " specs, Jobs=" << Jobs;
+    }
   }
 }
 
@@ -188,17 +217,19 @@ TEST(EvalPlan_, SharedTermsCollapseToOneObligation) {
   EXPECT_NE(A, B);
 }
 
-TEST(EvalPlan_, EveryEdgeIsJustified) {
-  // Audit of the subsumption sources: each edge must be (a) structural —
-  // target obligations a subset of the source's, sound propositionally;
-  // (b) intra-family — same table, ablation-lattice monotonicity; or
-  // (c) hierarchy — from a maximal SC/TSC-strength source, the only
-  // cross-arch bounds that hold on every vocabulary. In particular the
-  // hierarchy test's x86 => ARMv8 (pinned over x86's vocabulary only)
-  // must never become an edge.
-  ResolvedMatrix M;
+/// Audit of the subsumption sources of the plan compiled for \p Specs:
+/// each edge must be (a) structural — target obligations a subset of the
+/// source's, sound propositionally; (b) intra-family — same table,
+/// ablation-lattice monotonicity; or (c) hierarchy — from a maximal
+/// SC/TSC-strength source, the only cross-arch bounds that hold on every
+/// vocabulary. In particular the hierarchy test's x86 => ARMv8 (pinned
+/// over x86's vocabulary only) must never become an edge. \p Specs must
+/// contain "sc", "power" and "power8".
+void expectEveryEdgeJustified(const std::vector<std::string> &Specs) {
+  SCOPED_TRACE(std::to_string(Specs.size()) + " specs");
+  ResolvedMatrix M(Specs);
   EvalPlan Plan = EvalPlan::compile(M.Raw);
-  size_t N = kMatrix.size();
+  size_t N = Specs.size();
 
   // Directly-justified pairs, recomputed independently of the plan.
   auto oblSet = [&](size_t S) {
@@ -212,17 +243,17 @@ TEST(EvalPlan_, EveryEdgeIsJustified) {
   // SC's sole obligation is `acyclic(po u com)`, and the one obligation
   // power8 adds over power is the wrappers' NoLB `acyclic(po u rf)` —
   // the former implies the latter (rf ⊆ com).
-  std::vector<uint32_t> ScSet = oblSet(indexOf("sc"));
+  std::vector<uint32_t> ScSet = oblSet(indexOf("sc", Specs));
   ASSERT_EQ(ScSet.size(), 1u);
   uint32_t ScHb = ScSet[0];
-  std::vector<uint32_t> P8Set = oblSet(indexOf("power8")),
-                        PwSet = oblSet(indexOf("power")), NoLbOnly;
+  std::vector<uint32_t> P8Set = oblSet(indexOf("power8", Specs)),
+                        PwSet = oblSet(indexOf("power", Specs)), NoLbOnly;
   std::set_difference(P8Set.begin(), P8Set.end(), PwSet.begin(), PwSet.end(),
                       std::back_inserter(NoLbOnly));
   ASSERT_EQ(NoLbOnly.size(), 1u);
   uint32_t NoLb = NoLbOnly[0];
   auto justified = [&](size_t I, size_t J) {
-    const std::string &From = kMatrix[I], &To = kMatrix[J];
+    const std::string &From = Specs[I], &To = Specs[J];
     // (a) structural: obligations(To) ⊆ covered(I) — propositional plus
     // the scHb => NoLB dominance.
     std::vector<uint32_t> FromSet = oblSet(I), ToSet = oblSet(J);
@@ -250,10 +281,13 @@ TEST(EvalPlan_, EveryEdgeIsJustified) {
     // the hardware baselines. The hierarchy test's x86 => ARMv8 is
     // vocabulary-scoped and deliberately NOT here.
     std::string FromFam = familyOf(From), ToFam = familyOf(To);
-    // NoLB wrappers of the hardware TM models count as hierarchy targets
+    // NoLB wrappers of the hardware TM models (the named presets and
+    // the generic "<arch>-impl" substitutes) count as hierarchy targets
     // too: the extra axiom is dominated by the SC/TSC source's Order.
     bool HwFam = ToFam == "x86" || ToFam == "power" || ToFam == "armv8" ||
-                 ToFam == "power8" || ToFam == "armv8-rtl";
+                 ToFam == "power8" || ToFam == "armv8-rtl" ||
+                 ToFam == "armv8-silicon" || ToFam == "x86-impl" ||
+                 ToFam == "power-impl" || ToFam == "armv8-impl";
     if (FromFam == "tsc" && HwFam)
       return true;
     if (FromFam == "sc" && HwFam &&
@@ -275,8 +309,15 @@ TEST(EvalPlan_, EveryEdgeIsJustified) {
 
   for (const EvalPlan::Edge &E : Plan.edges())
     EXPECT_TRUE(Ok[E.From][E.To])
-        << "unjustified edge " << kMatrix[E.From] << " => "
-        << kMatrix[E.To];
+        << "unjustified edge " << Specs[E.From] << " => " << Specs[E.To];
+}
+
+TEST(EvalPlan_, EveryEdgeIsJustified) {
+  expectEveryEdgeJustified(kMatrix);
+  expectEveryEdgeJustified(kServingPool);
+
+  ResolvedMatrix M;
+  EvalPlan Plan = EvalPlan::compile(M.Raw);
 
   // The hierarchy edges the paper pins, present and guarded...
   EXPECT_TRUE(Plan.implies(indexOf("tsc"), indexOf("x86")));
