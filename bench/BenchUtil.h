@@ -6,9 +6,11 @@
 /// figure of the paper; `TMW_BENCH_BUDGET_SECONDS` and
 /// `TMW_BENCH_MAX_EVENTS` scale the searches (defaults keep every binary
 /// under a couple of minutes, like the paper's preliminary-results mode in
-/// §5.3). `--jobs N` (or `TMW_BENCH_JOBS`) shards the enumeration across N
-/// threads. Every knob is parsed strictly: a malformed value is a one-line
-/// diagnostic and exit 2, never a silent default. Performance is measured
+/// §5.3). In the benches with a parallel search, `--jobs N` (or
+/// `TMW_BENCH_JOBS`) shards the enumeration across N threads; the others
+/// take no arguments at all. Every knob is parsed strictly: a malformed
+/// value or an argument a bench does not take is a one-line diagnostic and
+/// exit 2, never a silent default. Performance is measured
 /// by perfbench/, not here.
 ///
 //===----------------------------------------------------------------------===//
@@ -107,6 +109,19 @@ inline unsigned jobs(int Argc, char **Argv, unsigned Default = 1) {
   if (const char *S = std::getenv("TMW_BENCH_JOBS"))
     return parseJobsStrict(S, "TMW_BENCH_JOBS");
   return Default;
+}
+
+/// For the benches that take no command-line arguments: any argument is a
+/// one-line usage diagnostic and exit 2, so a flag like `--jobs 2` is never
+/// silently ignored. The environment knobs still apply.
+inline void noArguments(int Argc, char **Argv) {
+  if (Argc > 1) {
+    std::fprintf(stderr,
+                 "error: unexpected argument '%s'; usage: %s "
+                 "(no arguments)\n",
+                 Argv[1], Argv[0]);
+    std::exit(2);
+  }
 }
 
 inline void header(const char *Title, const char *PaperRef) {

@@ -52,7 +52,8 @@ Execution example11(bool Fixed, bool LoadVariant) {
 
 } // namespace
 
-int main() {
+int main(int argc, char **argv) {
+  bench::noArguments(argc, argv);
   bench::header("Fig. 10 / Example 1.1 / Appendix B: lock elision on ARMv8",
                 "§1.1, §8.3, Fig. 10, Table 3, Appendix B");
   Armv8Model Tm;

@@ -59,7 +59,8 @@ Execution shape(int Which) {
 
 } // namespace
 
-int main() {
+int main(int argc, char **argv) {
+  bench::noArguments(argc, argv);
   bench::header("Fig. 3: weak vs strong isolation on four SC executions",
                 "Fig. 3; §3.3");
 

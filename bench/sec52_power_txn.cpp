@@ -97,7 +97,8 @@ void row(const char *Name, const Execution &X, const char *PaperVerdict) {
 
 } // namespace
 
-int main() {
+int main(int argc, char **argv) {
+  bench::noArguments(argc, argv);
   bench::header("§5.2: the Power TM additions on their motivating tests",
                 "§5.2 executions (1), (2), (3); Remark 5.1");
   std::printf("%-24s %-10s %-14s %-9s %-9s %-9s\n", "execution",

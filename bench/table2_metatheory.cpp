@@ -26,7 +26,8 @@
 
 using namespace tmw;
 
-int main() {
+int main(int argc, char **argv) {
+  bench::noArguments(argc, argv);
   bench::header("Table 2: metatheoretical results", "Table 2; §8");
   double Budget = bench::budgetSeconds(60.0);
 

@@ -72,11 +72,21 @@ expect_exit(2 TMW_BENCH_BUDGET_SECONDS=1 TMW_BENCH_MAX_EVENTS=foo table1_x86)
 expect_exit(2 TMW_BENCH_BUDGET_SECONDS=1 TMW_BENCH_MAX_EVENTS=0 table1_x86)
 expect_exit(2 TMW_BENCH_MAX_EVENTS=2 TMW_BENCH_BUDGET_SECONDS=abc table1_x86)
 expect_exit(2 TMW_BENCH_MAX_EVENTS=2 TMW_BENCH_BUDGET_SECONDS=0 table1_x86)
+# The benches without a parallel search take no arguments: a flag they
+# would ignore (`--jobs` included) is a usage error, not a silent no-op.
+set(NO_ARG_BENCHES sec52_power_txn fig3_isolation fig10_lock_elision
+                   table2_metatheory)
+foreach(BENCH ${NO_ARG_BENCHES})
+  expect_exit(2 ${SMALL} ${BENCH} --jobs bogus)
+endforeach()
 
 # --- good values: the same flags must still accept well-formed operands ----
 expect_exit(0 tmw_lint --corpus)
 expect_exit(0 litmus_tool --corpus --cap 4 --specialize on --jobs 2)
 expect_exit(0 ${SMALL} table1_x86 --jobs 2)
+foreach(BENCH ${NO_ARG_BENCHES})
+  expect_exit(0 ${SMALL} ${BENCH})
+endforeach()
 
 if(FAILURES GREATER 0)
   message(FATAL_ERROR "${FAILURES} CLI flag-validation case(s) failed")

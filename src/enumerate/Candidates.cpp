@@ -2,8 +2,9 @@
 
 #include "enumerate/Candidates.h"
 
+#include "enumerate/RfCo.h"
+
 #include <algorithm>
-#include <functional>
 
 using namespace tmw;
 
@@ -12,7 +13,9 @@ namespace {
 /// Instruction-to-event mapping state while assembling one transaction
 /// success/failure choice.
 struct Shape {
-  Execution X;
+  /// The candidate under construction: rf/co are completed in place in
+  /// `C.X`, and `C.O` is recomputed for each completion.
+  Candidate C;
   /// Event id per (thread, instruction index), -1 when it vanished or is a
   /// transaction delimiter.
   std::vector<std::vector<int>> EventOf;
@@ -22,13 +25,13 @@ struct Shape {
   bool AllTxnsSucceeded = true;
 };
 
-/// Build the event skeleton for one choice of which transactions succeed.
-/// \p Succeed holds one flag per TxBegin, in program order.
-bool buildShape(const Program &P, const std::vector<bool> &Succeed,
-                Shape &S) {
+/// Build the event skeleton for one choice of which transactions succeed:
+/// bit I of \p Succeed is set when the I-th TxBegin (in program order)
+/// succeeds.
+bool buildShape(const Program &P, uint64_t Succeed, Shape &S) {
   unsigned NumTx = 0;
   std::vector<Event> Events;
-  std::vector<int> Txns, Crs, Values;
+  std::vector<int> Txns, Crs;
   S.EventOf.assign(P.Threads.size(), {});
 
   int NextTxnClass = 0, NextCrClass = 0;
@@ -37,11 +40,19 @@ bool buildShape(const Program &P, const std::vector<bool> &Succeed,
     int CurTxn = kNoClass;
     int CurCr = kNoClass;
     bool Skipping = false;
+    auto Append = [&](const Event &Ev, int Value) {
+      Events.push_back(Ev);
+      Events.back().Thread = T;
+      Txns.push_back(CurTxn);
+      Crs.push_back(CurCr);
+      S.WriteValue.push_back(Value);
+      return static_cast<int>(Events.size() - 1);
+    };
     for (const Instruction &I : P.Threads[T]) {
       int EventId = -1;
       switch (I.K) {
       case Instruction::Kind::TxBegin: {
-        bool Ok = NumTx < Succeed.size() && Succeed[NumTx];
+        bool Ok = (Succeed >> NumTx) & 1;
         if (!Ok)
           S.AllTxnsSucceeded = false;
         ++NumTx;
@@ -65,13 +76,8 @@ bool buildShape(const Program &P, const std::vector<bool> &Succeed,
         Event Ev;
         Ev.Kind = I.K == Instruction::Kind::Lock ? EventKind::Lock
                                                  : EventKind::TxLock;
-        Ev.Thread = T;
         CurCr = NextCrClass++;
-        EventId = static_cast<int>(Events.size());
-        Events.push_back(Ev);
-        Txns.push_back(CurTxn);
-        Crs.push_back(CurCr);
-        Values.push_back(0);
+        EventId = Append(Ev, 0);
         break;
       }
       case Instruction::Kind::Unlock:
@@ -81,12 +87,7 @@ bool buildShape(const Program &P, const std::vector<bool> &Succeed,
         Event Ev;
         Ev.Kind = I.K == Instruction::Kind::Unlock ? EventKind::Unlock
                                                    : EventKind::TxUnlock;
-        Ev.Thread = T;
-        EventId = static_cast<int>(Events.size());
-        Events.push_back(Ev);
-        Txns.push_back(CurTxn);
-        Crs.push_back(CurCr);
-        Values.push_back(0);
+        EventId = Append(Ev, 0);
         CurCr = kNoClass;
         break;
       }
@@ -96,7 +97,6 @@ bool buildShape(const Program &P, const std::vector<bool> &Succeed,
         if (Skipping)
           break;
         Event Ev;
-        Ev.Thread = T;
         Ev.Loc = I.Loc;
         Ev.Order = I.MO;
         if (I.K == Instruction::Kind::Load) {
@@ -109,11 +109,7 @@ bool buildShape(const Program &P, const std::vector<bool> &Succeed,
           Ev.Fence = I.FK;
           Ev.Loc = -1;
         }
-        EventId = static_cast<int>(Events.size());
-        Events.push_back(Ev);
-        Txns.push_back(CurTxn);
-        Crs.push_back(CurCr);
-        Values.push_back(I.Value);
+        EventId = Append(Ev, I.Value);
         break;
       }
       }
@@ -124,7 +120,7 @@ bool buildShape(const Program &P, const std::vector<bool> &Succeed,
   if (Events.size() > kMaxEvents)
     return false;
 
-  Execution &X = S.X;
+  Execution &X = S.C.X;
   X.clear(static_cast<unsigned>(Events.size()));
   for (unsigned E = 0; E < Events.size(); ++E) {
     X.event(E) = Events[E];
@@ -132,13 +128,9 @@ bool buildShape(const Program &P, const std::vector<bool> &Succeed,
     X.Cr[E] = Crs[E];
   }
   X.AtomicTxns = AtomicMask;
-  S.WriteValue = Values;
 
   // po: id order within each thread (events were appended in order).
-  for (unsigned A = 0; A < Events.size(); ++A)
-    for (unsigned B = A + 1; B < Events.size(); ++B)
-      if (Events[A].Thread == Events[B].Thread)
-        X.Po.insert(A, B);
+  X.poFromThreadOrder();
 
   // Dependencies and rmw edges from the instruction structure.
   for (unsigned T = 0; T < P.Threads.size(); ++T) {
@@ -157,13 +149,8 @@ bool buildShape(const Program &P, const std::vector<bool> &Succeed,
         if (int Src = Resolve(D); Src >= 0)
           X.Data.insert(Src, Target);
       for (unsigned D : I.CtrlDeps)
-        if (int Src = Resolve(D); Src >= 0) {
-          // Forward closure: a branch orders everything after it.
-          X.Ctrl.insert(Src, Target);
-          for (unsigned B = 0; B < Events.size(); ++B)
-            if (X.Po.contains(Target, B))
-              X.Ctrl.insert(Src, B);
-        }
+        if (int Src = Resolve(D); Src >= 0)
+          X.addCtrl(Src, Target);
       if (I.RmwPartner >= 0 && I.K == Instruction::Kind::Load)
         if (int W = Resolve(static_cast<unsigned>(I.RmwPartner)); W >= 0)
           X.Rmw.insert(Target, W);
@@ -174,7 +161,7 @@ bool buildShape(const Program &P, const std::vector<bool> &Succeed,
 
 /// Compute the outcome of a fully assembled candidate.
 Outcome outcomeOf(const Program &P, const Shape &S) {
-  const Execution &X = S.X;
+  const Execution &X = S.C.X;
   Outcome O;
 
   for (unsigned T = 0; T < P.Threads.size(); ++T)
@@ -212,71 +199,6 @@ Outcome outcomeOf(const Program &P, const Shape &S) {
   return O;
 }
 
-/// Enumerate rf choices (per read: a same-location write or the initial
-/// value), then co orders, invoking \p Sink on every complete candidate.
-/// Stops — and returns false — as soon as \p Sink returns false.
-bool enumerateRfCo(const Program &P, Shape &S,
-                   const std::function<bool(const Candidate &)> &Sink) {
-  Execution &X = S.X;
-  std::vector<EventId> Reads;
-  for (EventId R : X.reads())
-    Reads.push_back(R);
-
-  // Writers per location.
-  unsigned NumLocs = X.numLocations();
-  std::vector<std::vector<EventId>> WritersOf(NumLocs);
-  for (EventId W : X.writes())
-    WritersOf[X.event(W).Loc].push_back(W);
-
-  std::function<bool(unsigned)> ChooseCo = [&](unsigned L) {
-    if (L == NumLocs) {
-      Candidate C{X, outcomeOf(P, S)};
-      return Sink(C);
-    }
-    std::vector<EventId> &Ws = WritersOf[L];
-    if (Ws.size() <= 1)
-      return ChooseCo(L + 1);
-    std::vector<EventId> Perm = Ws;
-    std::sort(Perm.begin(), Perm.end());
-    bool Go = true;
-    do {
-      for (unsigned I = 0; I < Perm.size(); ++I)
-        for (unsigned J = 0; J < Perm.size(); ++J)
-          if (I < J)
-            X.Co.insert(Perm[I], Perm[J]);
-          else if (I != J)
-            X.Co.erase(Perm[I], Perm[J]);
-      Go = ChooseCo(L + 1);
-    } while (Go && std::next_permutation(Perm.begin(), Perm.end()));
-    // Restore a clean slate for this location.
-    for (EventId A : Ws)
-      for (EventId B : Ws)
-        if (A != B)
-          X.Co.erase(A, B);
-    return Go;
-  };
-
-  std::function<bool(unsigned)> ChooseRf = [&](unsigned RI) {
-    if (RI == Reads.size())
-      return ChooseCo(0);
-    EventId R = Reads[RI];
-    LocId L = X.event(R).Loc;
-    // Initial value: no incoming rf.
-    if (!ChooseRf(RI + 1))
-      return false;
-    for (EventId W : WritersOf[L]) {
-      X.Rf.insert(W, R);
-      bool Go = ChooseRf(RI + 1);
-      X.Rf.erase(W, R);
-      if (!Go)
-        return false;
-    }
-    return true;
-  };
-
-  return ChooseRf(0);
-}
-
 } // namespace
 
 bool tmw::forEachCandidate(
@@ -288,17 +210,17 @@ bool tmw::forEachCandidate(
         ++NumTx;
 
   for (uint64_t Mask = 0; Mask < (uint64_t(1) << NumTx); ++Mask) {
-    std::vector<bool> Succeed(NumTx);
-    for (unsigned I = 0; I < NumTx; ++I)
-      Succeed[I] = (Mask >> I) & 1;
     Shape S;
-    if (!buildShape(P, Succeed, S))
+    if (!buildShape(P, Mask, S))
       continue;
-    bool Go = enumerateRfCo(P, S, [&Sink](const Candidate &C) {
-      if (C.X.checkWellFormed() != nullptr)
-        return true; // malformed: skip, keep enumerating
-      return Sink(C);
-    });
+    Execution &X = S.C.X;
+    bool Go = forEachRfCo(X, X.reads(), X.writes(), X.writes(),
+                          [&](const Execution &Y) {
+                            if (Y.checkWellFormed() != nullptr)
+                              return true; // malformed: skip, keep going
+                            S.C.O = outcomeOf(P, S);
+                            return Sink(S.C);
+                          });
     if (!Go)
       return false;
   }

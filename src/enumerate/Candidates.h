@@ -8,6 +8,14 @@
 /// non-deterministically — a failed transaction's events vanish (§3.1) and
 /// its abort handler zeroes the `ok` location of the outcome.
 ///
+/// The rf/co freedom is `forEachRfCo` (enumerate/RfCo.h) over all reads
+/// and writes, so the candidate order is its order contract inside each
+/// transaction success mask: rf before co, per read the initial value
+/// then same-location writes in ascending id, co per location in
+/// ascending location with permutations in lexicographic order.
+/// `first_forbidden` in the canonical verdict JSON is an index into this
+/// order.
+///
 /// Filtering the candidates through a `MemoryModel` yields the behaviours
 /// the model allows — the herd-style simulation flow used both by the
 /// model-level "run" of a test and by the axiomatic hardware substitutes.
@@ -33,8 +41,8 @@ struct Candidate {
 };
 
 /// Stream every well-formed candidate execution of \p P into \p Sink, in
-/// a deterministic order (transaction success masks, then rf choices,
-/// then co permutations). The candidate is only valid for the duration of
+/// a deterministic order (transaction success masks in ascending order,
+/// then the `forEachRfCo` order). The candidate is only valid for the duration of
 /// the call; copy it to keep it. \p Sink returns false to stop the
 /// enumeration early (e.g. a candidate cap); the function then returns
 /// false too. This is the single enumeration primitive: a consumer that

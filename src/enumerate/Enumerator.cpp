@@ -2,6 +2,8 @@
 
 #include "enumerate/Enumerator.h"
 
+#include "enumerate/RfCo.h"
+
 #include <algorithm>
 
 using namespace tmw;
@@ -106,11 +108,10 @@ struct BaseSearch {
                       unsigned From, EventSet Used);
   void chooseDeps();
   void chooseDepPair(const std::vector<std::pair<EventId, EventId>> &Pairs,
-                     unsigned Idx, const std::vector<EventId> &Reads);
-  void chooseCtrl(const std::vector<EventId> &Reads, unsigned Idx);
-  void chooseRf(const std::vector<EventId> &Reads, unsigned Idx);
-  void chooseCo(unsigned Loc);
-  void emit();
+                     unsigned Idx);
+  /// Ctrl choices for \p Reads, lowest first.
+  void chooseCtrl(EventSet Reads);
+  void chooseRfCo();
 };
 
 void BaseSearch::run() {
@@ -135,10 +136,7 @@ void BaseSearch::materializeSkeleton(const std::vector<unsigned> &Sizes) {
       PosOf[E] = P;
       X.event(E).Thread = T;
     }
-  for (unsigned A = 0; A < Num; ++A)
-    for (unsigned B = A + 1; B < Num; ++B)
-      if (ThreadOf[A] == ThreadOf[B])
-        X.Po.insert(A, B);
+  X.poFromThreadOrder();
 }
 
 unsigned BaseSearch::applyLabels(const BasePrefix &P) {
@@ -297,142 +295,80 @@ void BaseSearch::chooseRmwPairs(
 }
 
 void BaseSearch::chooseDeps() {
-  std::vector<EventId> Reads;
-  for (unsigned E = 0; E < Num; ++E)
-    if (X.event(E).isRead())
-      Reads.push_back(E);
-
   if (!V.Deps) {
-    chooseRf(Reads, 0);
+    chooseRfCo();
     return;
   }
   // addr/data choices per (read, po-later event) pair. A minimal test never
   // needs two dependency kinds on the same pair (removing one would leave
   // the other), so a single choice per pair is complete for minimality.
   std::vector<std::pair<EventId, EventId>> Pairs;
-  for (EventId R : Reads)
-    for (unsigned E = 0; E < Num; ++E)
-      if (X.Po.contains(R, E) && X.event(E).isMemoryAccess())
+  for (EventId R : X.reads())
+    for (EventId E : X.Po.successors(R))
+      if (X.event(E).isMemoryAccess())
         Pairs.push_back({R, E});
-  chooseDepPair(Pairs, 0, Reads);
+  chooseDepPair(Pairs, 0);
 }
 
 void BaseSearch::chooseDepPair(
-    const std::vector<std::pair<EventId, EventId>> &Pairs, unsigned Idx,
-    const std::vector<EventId> &Reads) {
+    const std::vector<std::pair<EventId, EventId>> &Pairs, unsigned Idx) {
   if (Aborted)
     return;
   if (Idx == Pairs.size()) {
-    chooseCtrl(Reads, 0);
+    chooseCtrl(X.reads());
     return;
   }
   auto [R, E] = Pairs[Idx];
   // No dependency on this pair.
-  chooseDepPair(Pairs, Idx + 1, Reads);
+  chooseDepPair(Pairs, Idx + 1);
   if (Aborted)
     return;
   // Address dependency (to any access).
   X.Addr.insert(R, E);
-  chooseDepPair(Pairs, Idx + 1, Reads);
+  chooseDepPair(Pairs, Idx + 1);
   X.Addr.erase(R, E);
   if (Aborted)
     return;
   // Data dependency (to writes only).
   if (X.event(E).isWrite()) {
     X.Data.insert(R, E);
-    chooseDepPair(Pairs, Idx + 1, Reads);
+    chooseDepPair(Pairs, Idx + 1);
     X.Data.erase(R, E);
   }
 }
 
-void BaseSearch::chooseCtrl(const std::vector<EventId> &Reads, unsigned Idx) {
+void BaseSearch::chooseCtrl(EventSet Reads) {
   if (Aborted)
     return;
-  if (Idx == Reads.size()) {
-    chooseRf(Reads, 0);
+  if (Reads.empty()) {
+    chooseRfCo();
     return;
   }
-  EventId R = Reads[Idx];
+  EventId R = *Reads.begin();
+  Reads.erase(R);
   // No control dependency from R.
-  chooseCtrl(Reads, Idx + 1);
+  chooseCtrl(Reads);
   if (Aborted)
     return;
-  // Branch after R at suffix start S: ctrl edges to events at PosOf >= S.
-  unsigned T = ThreadOf[R];
-  for (unsigned S = PosOf[R] + 1; S < ThreadSize[T]; ++S) {
-    for (unsigned E = 0; E < Num; ++E)
-      if (ThreadOf[E] == T && PosOf[E] >= S)
-        X.Ctrl.insert(R, E);
-    chooseCtrl(Reads, Idx + 1);
-    for (unsigned E = 0; E < Num; ++E)
-      if (ThreadOf[E] == T && PosOf[E] >= S)
-        X.Ctrl.erase(R, E);
+  // Branch after R before each po-later event B of its thread: ctrl edges
+  // to B and everything after it (events are thread-major, so B = R + k).
+  for (EventId B = R + 1; B < Num && ThreadOf[B] == ThreadOf[R]; ++B) {
+    X.addCtrl(R, B);
+    chooseCtrl(Reads);
+    for (EventId E : X.Ctrl.successors(R))
+      X.Ctrl.erase(R, E);
     if (Aborted)
       return;
   }
 }
 
-void BaseSearch::chooseRf(const std::vector<EventId> &Reads, unsigned Idx) {
-  if (Aborted)
-    return;
-  if (Idx == Reads.size()) {
-    chooseCo(0);
-    return;
-  }
-  EventId R = Reads[Idx];
-  // Initial value: no incoming rf.
-  chooseRf(Reads, Idx + 1);
-  if (Aborted)
-    return;
-  for (unsigned W = 0; W < Num; ++W) {
-    if (!X.event(W).isWrite() || X.event(W).Loc != X.event(R).Loc)
-      continue;
-    X.Rf.insert(W, R);
-    chooseRf(Reads, Idx + 1);
-    X.Rf.erase(W, R);
-    if (Aborted)
-      return;
-  }
-}
-
-void BaseSearch::chooseCo(unsigned Loc) {
-  if (Aborted)
-    return;
-  unsigned NumLocs = X.numLocations();
-  if (Loc == NumLocs) {
-    emit();
-    return;
-  }
-  std::vector<EventId> Ws;
-  for (unsigned E = 0; E < Num; ++E)
-    if (X.event(E).isWrite() && X.event(E).Loc == static_cast<LocId>(Loc))
-      Ws.push_back(E);
-  if (Ws.size() <= 1) {
-    chooseCo(Loc + 1);
-    return;
-  }
-  std::vector<EventId> Perm = Ws;
-  do {
-    for (unsigned I = 0; I < Perm.size(); ++I)
-      for (unsigned J = 0; J < Perm.size(); ++J)
-        if (I < J)
-          X.Co.insert(Perm[I], Perm[J]);
-        else if (I != J)
-          X.Co.erase(Perm[I], Perm[J]);
-    chooseCo(Loc + 1);
-    if (Aborted)
-      break;
-  } while (std::next_permutation(Perm.begin(), Perm.end()));
-  for (EventId A : Ws)
-    for (EventId B : Ws)
-      if (A != B)
-        X.Co.erase(A, B);
-}
-
-void BaseSearch::emit() {
-  assert(X.checkWellFormed() == nullptr && "enumerated ill-formed base");
-  if (!Sink(X))
-    Aborted = true;
+void BaseSearch::chooseRfCo() {
+  Aborted = !forEachRfCo(X, X.reads(), X.writes(), X.writes(),
+                         [this](Execution &Y) {
+                           assert(Y.checkWellFormed() == nullptr &&
+                                  "enumerated ill-formed base");
+                           return Sink(Y);
+                         });
 }
 
 /// DFS over transaction placements: disjoint contiguous intervals per

@@ -8,6 +8,12 @@
 /// use, program order = event-id order within a thread) and the synthesis
 /// layer deduplicates final results up to thread/location symmetry.
 ///
+/// After the event labels, RMW pairs and dependencies, each base's rf and
+/// co are completed by `forEachRfCo` (enumerate/RfCo.h) over all its reads
+/// and writes, so the innermost levels of the DFS order are that
+/// primitive's order contract (rf before co, initial value first, sources
+/// and co permutations from ascending event ids).
+///
 /// Structural filters sound for *minimal* inconsistent executions are
 /// applied during generation: every location has at least two accesses,
 /// one of which is a write (an access without a communication edge cannot

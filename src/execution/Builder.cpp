@@ -84,10 +84,7 @@ Execution ExecutionBuilder::buildUnchecked() const {
     X.event(E) = Events[E];
 
   // po: strict total order per thread in insertion order.
-  for (unsigned A = 0; A < Events.size(); ++A)
-    for (unsigned B = A + 1; B < Events.size(); ++B)
-      if (Events[A].Thread == Events[B].Thread)
-        X.Po.insert(A, B);
+  X.poFromThreadOrder();
 
   for (auto [A, B] : RfEdges)
     X.Rf.insert(A, B);
@@ -98,13 +95,8 @@ Execution ExecutionBuilder::buildUnchecked() const {
   for (auto [A, B] : RmwEdges)
     X.Rmw.insert(A, B);
 
-  // ctrl: forward closure within po.
-  for (auto [A, B] : CtrlEdges) {
-    X.Ctrl.insert(A, B);
-    for (unsigned C = 0; C < Events.size(); ++C)
-      if (X.Po.contains(B, C))
-        X.Ctrl.insert(A, C);
-  }
+  for (auto [A, B] : CtrlEdges)
+    X.addCtrl(A, B);
 
   // co: complete the user edges to a strict total order per location,
   // breaking ties by event id (a stable topological extension).

@@ -22,6 +22,20 @@ void Execution::clear(unsigned NumEvents) {
   AtomicTxns = 0;
 }
 
+void Execution::poFromThreadOrder() {
+  Po = Relation(Num);
+  for (unsigned A = 0; A < Num; ++A)
+    for (unsigned B = A + 1; B < Num; ++B)
+      if (Events[A].Thread == Events[B].Thread)
+        Po.insert(A, B);
+}
+
+void Execution::addCtrl(EventId Src, EventId Target) {
+  Ctrl.insert(Src, Target);
+  for (EventId B : Po.successors(Target))
+    Ctrl.insert(Src, B);
+}
+
 unsigned Execution::numThreads() const {
   unsigned N = 0;
   for (unsigned E = 0; E < Num; ++E)

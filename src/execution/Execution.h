@@ -176,6 +176,15 @@ public:
   // Well-formedness and utilities.
   //===--------------------------------------------------------------------===
 
+  /// Set po to event-id order within each thread: the layout of every
+  /// builder and enumerator, which append each thread's events in program
+  /// order.
+  void poFromThreadOrder();
+  /// Add the control dependency \p Src -> \p Target, forward-closed:
+  /// \p Src also reaches every po-successor of \p Target (a branch orders
+  /// everything after it). Uses the current po.
+  void addCtrl(EventId Src, EventId Target);
+
   /// Returns nullptr when well-formed, otherwise a static description of the
   /// first violated condition.
   const char *checkWellFormed() const;

@@ -2,12 +2,12 @@
 
 #include "metatheory/Compilation.h"
 
+#include "metatheory/BoundedSearch.h"
 #include "models/Armv8Model.h"
 #include "models/CppModel.h"
 #include "models/PowerModel.h"
 #include "models/X86Model.h"
 
-#include <chrono>
 #include <vector>
 
 using namespace tmw;
@@ -137,10 +137,7 @@ Execution tmw::compileExecution(const Execution &X, Arch Target) {
   }
 
   // po: id order within each thread.
-  for (unsigned A = 0; A < TargetCount; ++A)
-    for (unsigned B = A + 1; B < TargetCount; ++B)
-      if (Y.event(A).Thread == Y.event(B).Thread)
-        Y.Po.insert(A, B);
+  Y.poFromThreadOrder();
 
   // Transactions on hardware have no atomic/relaxed distinction.
   Y.AtomicTxns = 0;
@@ -160,16 +157,12 @@ Execution tmw::compileExecution(const Execution &X, Arch Target) {
   CopyRel(X.Data, Y.Data);
   CopyRel(X.Ctrl, Y.Ctrl);
 
-  // Power acquire loads: ctrl edges from the load to everything po-after
-  // it (the bc;isync idiom), forward-closed by construction.
-  for (unsigned E = 0; E < N; ++E) {
-    if (IsyncOf[E] < 0 || MainOf[E] < 0)
-      continue;
-    EventId Load = static_cast<EventId>(MainOf[E]);
-    for (unsigned B = 0; B < TargetCount; ++B)
-      if (Y.Po.contains(Load, B))
-        Y.Ctrl.insert(Load, B);
-  }
+  // Power acquire loads: ctrl edges from the load to the isync right
+  // after it and everything po-after that (the bc;isync idiom).
+  for (unsigned E = 0; E < N; ++E)
+    if (IsyncOf[E] >= 0 && MainOf[E] >= 0)
+      Y.addCtrl(static_cast<EventId>(MainOf[E]),
+                static_cast<EventId>(IsyncOf[E]));
 
   assert(Y.checkWellFormed() == nullptr && "compilation broke well-formedness");
   return Y;
@@ -178,12 +171,6 @@ Execution tmw::compileExecution(const Execution &X, Arch Target) {
 CompilationResult tmw::checkCompilation(Arch Target, unsigned NumEvents,
                                         double BudgetSeconds) {
   CompilationResult Res;
-  auto Start = std::chrono::steady_clock::now();
-  auto Elapsed = [&Start] {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         Start)
-        .count();
-  };
 
   CppModel Cpp;
   X86Model X86;
@@ -205,10 +192,8 @@ CompilationResult tmw::checkCompilation(Arch Target, unsigned NumEvents,
     return Res;
   }
 
-  Vocabulary V = Vocabulary::forArch(Arch::Cpp);
-  ExecutionEnumerator Enum(V, NumEvents);
-
-  auto TrySource = [&](Execution &X) {
+  boundedTxnSearch(Vocabulary::forArch(Arch::Cpp), NumEvents, BudgetSeconds,
+                   Res, [&](Execution &X) {
     ++Res.Checked;
     // One analysis for both C++ predicates: consistency and race-freedom
     // share happens-before's building blocks and sloc.
@@ -226,21 +211,6 @@ CompilationResult tmw::checkCompilation(Arch Target, unsigned NumEvents,
       return false;
     }
     return true;
-  };
-
-  bool Finished = Enum.forEachBase([&](Execution &Base) {
-    if (Elapsed() > BudgetSeconds)
-      return false;
-    if (!TrySource(Base))
-      return false;
-    return Enum.forEachTxnPlacement(Base, [&](Execution &X) {
-      if (Elapsed() > BudgetSeconds)
-        return false;
-      return TrySource(X);
-    });
   });
-
-  Res.Complete = Finished || Res.CounterexampleFound;
-  Res.Seconds = Elapsed();
   return Res;
 }

@@ -2,9 +2,11 @@
 
 #include "metatheory/LockElision.h"
 
+#include "enumerate/RfCo.h"
+
 #include <algorithm>
 #include <chrono>
-#include <functional>
+#include <tuple>
 
 using namespace tmw;
 
@@ -148,10 +150,7 @@ Execution tmw::elideLocks(const Execution &Abstract, Arch A,
   }
   assert(Next == TargetCount && "expansion size mismatch");
 
-  for (unsigned P = 0; P < TargetCount; ++P)
-    for (unsigned Q = P + 1; Q < TargetCount; ++Q)
-      if (Y.event(P).Thread == Y.event(Q).Thread)
-        Y.Po.insert(P, Q);
+  Y.poFromThreadOrder();
 
   auto CopyRel = [&](const Relation &Src, Relation &Dst) {
     Src.forEachPair([&](EventId P, EventId Q) {
@@ -167,13 +166,9 @@ Execution tmw::elideLocks(const Execution &Abstract, Arch A,
   CopyRel(Abstract.Rmw, Y.Rmw);
   // ctrl must stay forward-closed through the mapping.
   Abstract.Ctrl.forEachPair([&](EventId P, EventId Q) {
-    if (MainOf[P] < 0 || MainOf[Q] < 0)
-      return;
-    EventId Src = static_cast<EventId>(MainOf[P]);
-    Y.Ctrl.insert(Src, static_cast<EventId>(MainOf[Q]));
-    for (unsigned B = 0; B < TargetCount; ++B)
-      if (Y.Po.contains(static_cast<EventId>(MainOf[Q]), B))
-        Y.Ctrl.insert(Src, B);
+    if (MainOf[P] >= 0 && MainOf[Q] >= 0)
+      Y.addCtrl(static_cast<EventId>(MainOf[P]),
+                static_cast<EventId>(MainOf[Q]));
   });
 
   // The spinlock's loop branches: control dependencies from the exclusive
@@ -187,79 +182,33 @@ Execution tmw::elideLocks(const Execution &Abstract, Arch A,
                      Y.Rmw.range().contains(E);
     if (Y.event(E).Loc != LockVar || (!ExclRead && !ExclWrite))
       continue;
-    for (unsigned B = 0; B < TargetCount; ++B)
-      if (Y.Po.contains(E, B))
-        Y.Ctrl.insert(E, B);
+    for (EventId B : Y.Po.successors(E))
+      Y.Ctrl.insert(E, B);
   }
 
   return Y;
 }
 
 std::vector<Execution> tmw::lockVarCompletions(const Execution &Concrete) {
-  std::vector<Execution> Out;
   LocId LockVar = static_cast<LocId>(Concrete.numLocations() - 1);
+  EventSet Lock = Concrete.atLocation(LockVar);
+  EventSet UnlockWrites;
+  for (EventId W : Concrete.writes() & Lock)
+    if (Concrete.event(W).WrittenValue == 0)
+      UnlockWrites.insert(W);
 
-  std::vector<EventId> Reads, Writes, LockWrites, UnlockWrites;
-  for (unsigned E = 0; E < Concrete.size(); ++E) {
-    const Event &Ev = Concrete.event(E);
-    if (Ev.Loc != LockVar)
-      continue;
-    if (Ev.isRead())
-      Reads.push_back(E);
-    if (Ev.isWrite()) {
-      Writes.push_back(E);
-      if (Ev.WrittenValue != 0)
-        LockWrites.push_back(E);
-      else
-        UnlockWrites.push_back(E);
-    }
-  }
-
+  // Every read of the lock variable must see the lock free: acquiring
+  // reads succeed only on a free lock, and elided-region reads are
+  // constrained by TxnReadsLockFree. Sources: the initial value or an
+  // unlock write.
+  std::vector<Execution> Out;
   Execution X = Concrete;
-  std::function<void(unsigned)> ChooseCo = [&](unsigned) {
-    std::vector<EventId> Perm = Writes;
-    std::sort(Perm.begin(), Perm.end());
-    if (Perm.size() <= 1) {
-      if (X.checkWellFormed() == nullptr)
-        Out.push_back(X);
-      return;
-    }
-    do {
-      for (unsigned I = 0; I < Perm.size(); ++I)
-        for (unsigned J = 0; J < Perm.size(); ++J)
-          if (I < J)
-            X.Co.insert(Perm[I], Perm[J]);
-          else if (I != J)
-            X.Co.erase(Perm[I], Perm[J]);
-      if (X.checkWellFormed() == nullptr)
-        Out.push_back(X);
-    } while (std::next_permutation(Perm.begin(), Perm.end()));
-    for (EventId P : Writes)
-      for (EventId Q : Writes)
-        if (P != Q)
-          X.Co.erase(P, Q);
-  };
-
-  std::function<void(unsigned)> ChooseRf = [&](unsigned Idx) {
-    if (Idx == Reads.size()) {
-      ChooseCo(0);
-      return;
-    }
-    EventId R = Reads[Idx];
-    // Every read of the lock variable must see the lock free: acquiring
-    // reads succeed only on a free lock, and elided-region reads are
-    // constrained by TxnReadsLockFree. Sources: initial value (no rf) or
-    // an unlock write.
-    ChooseRf(Idx + 1);
-    for (EventId W : UnlockWrites) {
-      X.Rf.insert(W, R);
-      ChooseRf(Idx + 1);
-      X.Rf.erase(W, R);
-    }
-  };
-
-  ChooseRf(0);
-  (void)LockWrites;
+  forEachRfCo(X, Concrete.reads() & Lock, UnlockWrites,
+              Concrete.writes() & Lock, [&Out](const Execution &Y) {
+                if (Y.checkWellFormed() == nullptr)
+                  Out.push_back(Y);
+                return true;
+              });
   return Out;
 }
 
@@ -267,150 +216,58 @@ namespace {
 
 /// Enumerate abstract lock-elision executions: two threads, each one
 /// critical region over one shared location, with a choice of normal or
-/// elided locking per thread (at least one elided).
-struct AbstractSearch {
-  unsigned MaxEvents;
-  const std::function<bool(Execution &)> &Sink;
-  bool Aborted = false;
-
-  void run() {
-    // Body sizes: total events = 4 lock calls + B0 + B1.
-    for (unsigned B0 = 0; B0 + 4 <= MaxEvents && !Aborted; ++B0)
-      for (unsigned B1 = 0; B0 + B1 + 4 <= MaxEvents && !Aborted; ++B1) {
-        if (B0 + B1 == 0)
-          continue;
-        for (bool Elide0 : {false, true})
-          for (bool Elide1 : {false, true}) {
-            if (!Elide0 && !Elide1)
-              continue;
-            buildSkeleton(B0, B1, Elide0, Elide1);
-            if (Aborted)
-              return;
+/// elided locking per thread (at least one elided). \p Sink returns false
+/// to stop; the result is then false.
+template <typename SinkT>
+bool forEachAbstract(unsigned MaxEvents, SinkT &&Sink) {
+  // Body sizes: total events = 4 lock calls + B0 + B1.
+  for (unsigned B0 = 0; B0 + 4 <= MaxEvents; ++B0)
+    for (unsigned B1 = 0; B0 + B1 + 4 <= MaxEvents; ++B1)
+      for (bool Elide0 : {false, true})
+        for (bool Elide1 : {false, true}) {
+          if (B0 + B1 == 0 || (!Elide0 && !Elide1))
+            continue;
+          // Thread T: a lock call, B_T body events and an unlock call,
+          // all in critical region T.
+          Execution X(4 + B0 + B1);
+          std::vector<EventId> Body;
+          EventId Next = 0;
+          auto Add = [&](unsigned T, EventKind K) {
+            X.event(Next).Kind = K;
+            X.event(Next).Thread = T;
+            X.Cr[Next] = static_cast<int>(T);
+            return Next++;
+          };
+          for (const auto &[T, Size, Elide] :
+               {std::tuple{0u, B0, Elide0}, std::tuple{1u, B1, Elide1}}) {
+            Add(T, Elide ? EventKind::TxLock : EventKind::Lock);
+            for (unsigned I = 0; I < Size; ++I)
+              Body.push_back(Add(T, EventKind::Read));
+            Add(T, Elide ? EventKind::TxUnlock : EventKind::Unlock);
           }
-      }
-  }
-
-  void buildSkeleton(unsigned B0, unsigned B1, bool Elide0, bool Elide1) {
-    unsigned N = 4 + B0 + B1;
-    Execution X(N);
-    unsigned Next = 0;
-    auto AddLockCall = [&](unsigned T, EventKind K, int Cr) {
-      X.event(Next).Kind = K;
-      X.event(Next).Thread = T;
-      X.Cr[Next] = Cr;
-      ++Next;
-    };
-    std::vector<EventId> Body;
-    auto AddBody = [&](unsigned T, unsigned Count, int Cr) {
-      for (unsigned I = 0; I < Count; ++I) {
-        X.event(Next).Thread = T;
-        X.Cr[Next] = Cr;
-        Body.push_back(Next);
-        ++Next;
-      }
-    };
-    AddLockCall(0, Elide0 ? EventKind::TxLock : EventKind::Lock, 0);
-    AddBody(0, B0, 0);
-    AddLockCall(0, Elide0 ? EventKind::TxUnlock : EventKind::Unlock, 0);
-    AddLockCall(1, Elide1 ? EventKind::TxLock : EventKind::Lock, 1);
-    AddBody(1, B1, 1);
-    AddLockCall(1, Elide1 ? EventKind::TxUnlock : EventKind::Unlock, 1);
-    for (unsigned P = 0; P < N; ++P)
-      for (unsigned Q = P + 1; Q < N; ++Q)
-        if (X.event(P).Thread == X.event(Q).Thread)
-          X.Po.insert(P, Q);
-
-    chooseKinds(X, Body, 0);
-  }
-
-  void chooseKinds(Execution &X, const std::vector<EventId> &Body,
-                   unsigned Idx) {
-    if (Aborted)
-      return;
-    if (Idx == Body.size()) {
-      chooseRf(X, Body, 0);
-      return;
-    }
-    for (EventKind K : {EventKind::Read, EventKind::Write}) {
-      X.event(Body[Idx]).Kind = K;
-      X.event(Body[Idx]).Loc = 0;
-      chooseKinds(X, Body, Idx + 1);
-      if (Aborted)
-        return;
-    }
-  }
-
-  void chooseRf(Execution &X, const std::vector<EventId> &Body,
-                unsigned Idx) {
-    if (Aborted)
-      return;
-    std::vector<EventId> Reads, Writes;
-    for (EventId E : Body) {
-      if (X.event(E).isRead())
-        Reads.push_back(E);
-      if (X.event(E).isWrite())
-        Writes.push_back(E);
-    }
-    if (Idx == Reads.size()) {
-      chooseCo(X, Writes);
-      return;
-    }
-    EventId R = Reads[Idx];
-    ChooseSource(X, Body, Idx, R, Writes);
-  }
-
-  void ChooseSource(Execution &X, const std::vector<EventId> &Body,
-                    unsigned Idx, EventId R,
-                    const std::vector<EventId> &Writes) {
-    chooseRfNext(X, Body, Idx); // read the initial value
-    if (Aborted)
-      return;
-    for (EventId W : Writes) {
-      X.Rf.insert(W, R);
-      chooseRfNext(X, Body, Idx);
-      X.Rf.erase(W, R);
-      if (Aborted)
-        return;
-    }
-  }
-
-  void chooseRfNext(Execution &X, const std::vector<EventId> &Body,
-                    unsigned Idx) {
-    chooseRf(X, Body, Idx + 1);
-  }
-
-  void chooseCo(Execution &X, const std::vector<EventId> &Writes) {
-    if (Aborted)
-      return;
-    if (Writes.size() <= 1) {
-      emit(X);
-      return;
-    }
-    std::vector<EventId> Perm = Writes;
-    do {
-      for (unsigned I = 0; I < Perm.size(); ++I)
-        for (unsigned J = 0; J < Perm.size(); ++J)
-          if (I < J)
-            X.Co.insert(Perm[I], Perm[J]);
-          else if (I != J)
-            X.Co.erase(Perm[I], Perm[J]);
-      emit(X);
-      if (Aborted)
-        break;
-    } while (std::next_permutation(Perm.begin(), Perm.end()));
-    for (EventId P : Writes)
-      for (EventId Q : Writes)
-        if (P != Q)
-          X.Co.erase(P, Q);
-  }
-
-  void emit(Execution &X) {
-    if (X.checkWellFormed() != nullptr)
-      return;
-    if (!Sink(X))
-      Aborted = true;
-  }
-};
+          X.poFromThreadOrder();
+          // Each body event reads or writes the shared location, the
+          // first body event varying slowest, a read before a write. Lock
+          // calls have no location, so the body holds every read and
+          // write.
+          size_t NumBody = Body.size();
+          for (uint64_t Kinds = 0; Kinds >> NumBody == 0; ++Kinds) {
+            for (size_t I = 0; I < NumBody; ++I) {
+              bool Write = (Kinds >> (NumBody - 1 - I)) & 1;
+              X.event(Body[I]).Kind =
+                  Write ? EventKind::Write : EventKind::Read;
+              X.event(Body[I]).Loc = 0;
+            }
+            if (!forEachRfCo(X, X.reads(), X.writes(), X.writes(),
+                             [&Sink](Execution &Y) {
+                               return Y.checkWellFormed() != nullptr ||
+                                      Sink(Y);
+                             }))
+              return false;
+          }
+        }
+  return true;
+}
 
 } // namespace
 
@@ -426,7 +283,7 @@ ElisionResult tmw::checkLockElision(const MemoryModel &TmModel,
         .count();
   };
 
-  std::function<bool(Execution &)> Sink = [&](Execution &X) -> bool {
+  bool Finished = forEachAbstract(MaxEvents, [&](Execution &X) {
     if (Elapsed() > BudgetSeconds)
       return false;
     ++Res.AbstractChecked;
@@ -447,11 +304,8 @@ ElisionResult tmw::checkLockElision(const MemoryModel &TmModel,
       }
     }
     return true;
-  };
-
-  AbstractSearch Search{MaxEvents, Sink};
-  Search.run();
-  Res.Complete = !Search.Aborted || Res.CounterexampleFound;
+  });
+  Res.Complete = Finished || Res.CounterexampleFound;
   Res.Seconds = Elapsed();
   return Res;
 }

@@ -2,8 +2,9 @@
 
 #include "metatheory/Monotonicity.h"
 
+#include "metatheory/BoundedSearch.h"
+
 #include <algorithm>
-#include <chrono>
 
 using namespace tmw;
 
@@ -115,15 +116,8 @@ MonotonicityResult tmw::checkMonotonicity(const MemoryModel &M,
                                           unsigned NumEvents,
                                           double BudgetSeconds) {
   MonotonicityResult Res;
-  auto Start = std::chrono::steady_clock::now();
-  auto Elapsed = [&Start] {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         Start)
-        .count();
-  };
-
-  ExecutionEnumerator Enum(V, NumEvents);
-  auto TryFrom = [&](Execution &X) {
+  // Every execution, the transaction-free bases included, is a candidate X.
+  boundedTxnSearch(V, NumEvents, BudgetSeconds, Res, [&](Execution &X) {
     if (M.consistent(X))
       return true;
     for (const Execution &Y : txnAugmentations(X, V)) {
@@ -136,22 +130,6 @@ MonotonicityResult tmw::checkMonotonicity(const MemoryModel &M,
       }
     }
     return true;
-  };
-
-  bool Finished = Enum.forEachBase([&](Execution &Base) {
-    if (Elapsed() > BudgetSeconds)
-      return false;
-    // The transaction-free execution itself is a valid X.
-    if (!TryFrom(Base))
-      return false;
-    return Enum.forEachTxnPlacement(Base, [&](Execution &X) {
-      if (Elapsed() > BudgetSeconds)
-        return false;
-      return TryFrom(X);
-    });
   });
-
-  Res.Complete = Finished || Res.CounterexampleFound;
-  Res.Seconds = Elapsed();
   return Res;
 }

@@ -165,6 +165,24 @@ inline Execution powerRemark51() {
   return B.build();
 }
 
+/// The abstract Fig. 10 execution: a normal CR incrementing x against an
+/// elided CR storing to x, with the mutual-exclusion-violating rf/co
+/// pattern (final x = 2, the elided store in between).
+inline Execution lockElisionAbstract() {
+  ExecutionBuilder B;
+  EventId L = B.lockCall(0, EventKind::Lock);
+  EventId Rx = B.read(0, 0);
+  EventId Wx = B.write(0, 0, MemOrder::NonAtomic, 2);
+  EventId U = B.lockCall(0, EventKind::Unlock);
+  EventId Lt = B.lockCall(1, EventKind::TxLock);
+  EventId WxT = B.write(1, 0, MemOrder::NonAtomic, 1);
+  EventId Ut = B.lockCall(1, EventKind::TxUnlock);
+  B.cr({L, Rx, Wx, U});
+  B.cr({Lt, WxT, Ut});
+  B.co(WxT, Wx);
+  return B.build();
+}
+
 /// Example 1.1 / Fig. 10 (concrete, ARMv8-style): the left thread takes
 /// the lock with an exclusive pair, the right elides it inside a
 /// transaction. Orders: the acquire flag on the exclusive read and the

@@ -12,25 +12,8 @@ using namespace tmw;
 
 namespace {
 
-/// The abstract Fig. 10 execution: normal CR incrementing x vs elided CR
-/// storing to x, with the mutual-exclusion-violating rf/co pattern.
-Execution fig10Abstract() {
-  ExecutionBuilder B;
-  EventId L = B.lockCall(0, EventKind::Lock);
-  EventId Rx = B.read(0, 0);
-  EventId Wx = B.write(0, 0, MemOrder::NonAtomic, 2);
-  EventId U = B.lockCall(0, EventKind::Unlock);
-  EventId Lt = B.lockCall(1, EventKind::TxLock);
-  EventId WxT = B.write(1, 0, MemOrder::NonAtomic, 1);
-  EventId Ut = B.lockCall(1, EventKind::TxUnlock);
-  B.cr({L, Rx, Wx, U});
-  B.cr({Lt, WxT, Ut});
-  B.co(WxT, Wx); // final x = 2, the elided store in between
-  return B.build();
-}
-
 TEST(CrOrderTest, Fig10AbstractViolatesSerialisation) {
-  Execution X = fig10Abstract();
+  Execution X = shapes::lockElisionAbstract();
   EXPECT_FALSE(holdsCrOrder(X));
   // But the memory part is architecturally fine.
   Armv8Model Baseline;
@@ -53,7 +36,8 @@ TEST(CrOrderTest, SerialisedRegionsPass) {
 }
 
 TEST(ElideTest, Armv8MappingShape) {
-  Execution Y = elideLocks(fig10Abstract(), Arch::Armv8, false);
+  Execution Y =
+      elideLocks(shapes::lockElisionAbstract(), Arch::Armv8, false);
   // L -> LDAXR;STXR (2), body 2, U -> STLR (1); Lt -> read m (1), body 1.
   EXPECT_EQ(Y.size(), 7u);
   EXPECT_EQ(Y.Rmw.numPairs(), 1u);
@@ -66,13 +50,13 @@ TEST(ElideTest, Armv8MappingShape) {
 }
 
 TEST(ElideTest, FixedMappingAddsDmb) {
-  Execution Y = elideLocks(fig10Abstract(), Arch::Armv8, true);
+  Execution Y = elideLocks(shapes::lockElisionAbstract(), Arch::Armv8, true);
   EXPECT_EQ(Y.size(), 8u);
   EXPECT_EQ(Y.fences(FenceKind::Dmb).size(), 1u);
 }
 
 TEST(ElideTest, X86MappingShape) {
-  Execution Y = elideLocks(fig10Abstract(), Arch::X86, false);
+  Execution Y = elideLocks(shapes::lockElisionAbstract(), Arch::X86, false);
   // L -> test read + locked RMW (3), body 2, U -> store (1), Lt -> read
   // (1), body 1.
   EXPECT_EQ(Y.size(), 8u);
@@ -80,7 +64,7 @@ TEST(ElideTest, X86MappingShape) {
 }
 
 TEST(ElideTest, PowerMappingShape) {
-  Execution Y = elideLocks(fig10Abstract(), Arch::Power, false);
+  Execution Y = elideLocks(shapes::lockElisionAbstract(), Arch::Power, false);
   // L -> lwarx;stwcx.;isync (3), body 2, U -> sync;store (2), Lt -> read
   // (1), body 1, Ut -> nothing: 9 events — exactly the bound the paper
   // uses for its Power lock-elision query (Table 2).
@@ -90,7 +74,8 @@ TEST(ElideTest, PowerMappingShape) {
 }
 
 TEST(ElideTest, CompletionsRespectLockProtocol) {
-  Execution Skeleton = elideLocks(fig10Abstract(), Arch::Armv8, false);
+  Execution Skeleton =
+      elideLocks(shapes::lockElisionAbstract(), Arch::Armv8, false);
   std::vector<Execution> Completions = lockVarCompletions(Skeleton);
   ASSERT_FALSE(Completions.empty());
   LocId M = 1; // x=0, lock variable appended
