@@ -8,11 +8,7 @@
 
 using namespace tmw;
 
-namespace {
-
-/// Renumber transaction classes densely (dropping emptied classes) and
-/// remap the atomic-transaction mask accordingly.
-void compactTxnClasses(Execution &X) {
+void tmw::compactTxnClasses(Execution &X) {
   int Map[kMaxTxns];
   for (unsigned I = 0; I < kMaxTxns; ++I)
     Map[I] = -1;
@@ -32,16 +28,13 @@ void compactTxnClasses(Execution &X) {
   X.AtomicTxns = NewMask;
 }
 
-} // namespace
-
-Execution tmw::removeEvent(const Execution &X, EventId E) {
-  Execution Y(X.size() - 1);
+void tmw::removeEvent(const Execution &X, EventId E, Execution &Y) {
+  Y.clear(X.size() - 1);
   // Old id -> new id.
-  std::vector<int> Map(X.size(), -1);
+  int Map[kMaxEvents];
   unsigned Next = 0;
   for (unsigned A = 0; A < X.size(); ++A)
-    if (A != E)
-      Map[A] = static_cast<int>(Next++);
+    Map[A] = A == E ? -1 : static_cast<int>(Next++);
 
   for (unsigned A = 0; A < X.size(); ++A) {
     if (A == E)
@@ -66,24 +59,19 @@ Execution tmw::removeEvent(const Execution &X, EventId E) {
   CopyRel(X.Ctrl, Y.Ctrl);
   CopyRel(X.Rmw, Y.Rmw);
   compactTxnClasses(Y);
-  return Y;
 }
 
-namespace {
-
-/// Downgrade alternatives for one event under the given architecture.
-void appendDowngrades(const Execution &X, EventId E, Arch A,
-                      std::vector<Execution> &Out) {
+unsigned tmw::downgradesOf(const Execution &X, EventId E, Arch A,
+                           Event (&Out)[2]) {
   const Event &Ev = X.event(E);
+  unsigned N = 0;
   auto WithOrder = [&](MemOrder MO) {
-    Execution Y = X;
-    Y.event(E).Order = MO;
-    Out.push_back(Y);
+    Out[N] = Ev;
+    Out[N++].Order = MO;
   };
   auto WithFence = [&](FenceKind FK) {
-    Execution Y = X;
-    Y.event(E).Fence = FK;
-    Out.push_back(Y);
+    Out[N] = Ev;
+    Out[N++].Fence = FK;
   };
 
   switch (A) {
@@ -137,90 +125,16 @@ void appendDowngrades(const Execution &X, EventId E, Arch A,
     break;
   }
   }
+  return N;
 }
-
-} // namespace
 
 std::vector<Execution> tmw::relaxOneStep(const Execution &X,
                                          const Vocabulary &V) {
   std::vector<Execution> Out;
-
-  // (i) Remove an event.
-  for (unsigned E = 0; E < X.size(); ++E)
-    Out.push_back(removeEvent(X, E));
-
-  // (ii) Remove a dependency edge. For ctrl (forward-closed), removing the
-  // earliest edge of a read keeps the remaining targets a po-suffix.
-  X.Addr.forEachPair([&](EventId A, EventId B) {
-    Execution Y = X;
-    Y.Addr.erase(A, B);
+  forEachRelaxation(X, V, [&Out](const Execution &Y) {
     Out.push_back(Y);
+    return true;
   });
-  X.Data.forEachPair([&](EventId A, EventId B) {
-    Execution Y = X;
-    Y.Data.erase(A, B);
-    Out.push_back(Y);
-  });
-  for (EventId R : X.Ctrl.domain()) {
-    EventSet Targets = X.Ctrl.successors(R);
-    // Earliest target: the one with no ctrl-target po-before it.
-    for (EventId T : Targets) {
-      if (!(X.Po.compose(Relation::identityOn(EventSet::singleton(T),
-                                              X.size()))
-                .domain() &
-            Targets)
-               .empty())
-        continue;
-      Execution Y = X;
-      Y.Ctrl.erase(R, T);
-      Out.push_back(Y);
-    }
-  }
-  X.Rmw.forEachPair([&](EventId A, EventId B) {
-    Execution Y = X;
-    Y.Rmw.erase(A, B);
-    Out.push_back(Y);
-  });
-
-  // (iii) Downgrade an event.
-  for (unsigned E = 0; E < X.size(); ++E)
-    appendDowngrades(X, E, V.A, Out);
-
-  // (v) Shrink a transaction at either end.
-  for (unsigned C = 0; C < X.numTxns(); ++C) {
-    std::vector<EventId> Members;
-    for (unsigned E = 0; E < X.size(); ++E)
-      if (X.Txn[E] == static_cast<int>(C))
-        Members.push_back(E);
-    if (Members.empty())
-      continue;
-    std::sort(Members.begin(), Members.end(), [&X](EventId A, EventId B) {
-      return X.Po.contains(A, B);
-    });
-    for (EventId Boundary : {Members.front(), Members.back()}) {
-      Execution Y = X;
-      Y.Txn[Boundary] = kNoClass;
-      compactTxnClasses(Y);
-      Out.push_back(Y);
-      if (Members.size() == 1)
-        break; // front == back: one child only
-    }
-  }
-
-  // (iii') Downgrade an atomic{} transaction to a relaxed one (C++ only).
-  if (V.A == Arch::Cpp)
-    for (unsigned C = 0; C < X.numTxns(); ++C)
-      if ((X.AtomicTxns >> C) & 1) {
-        Execution Y = X;
-        Y.AtomicTxns &= ~(uint32_t(1) << C);
-        Out.push_back(Y);
-      }
-
-  // Keep only well-formed children.
-  Out.erase(std::remove_if(
-                Out.begin(), Out.end(),
-                [](const Execution &Y) { return Y.checkWellFormed(); }),
-            Out.end());
   return Out;
 }
 
@@ -232,18 +146,16 @@ bool tmw::isMinimallyInconsistent(const ExecutionAnalysis &A,
   // retargeting via reset() is a generation bump, where the implicit
   // `Execution -> ExecutionAnalysis` conversion would construct (and
   // zero) a fresh ~25 KB cache block per child. The arena's target
-  // dangles between calls (the children are locals); it is never read
-  // before the next reset().
+  // dangles between calls (the children live in the stream's scratch
+  // storage); it is never read before the next reset().
   static thread_local std::optional<ExecutionAnalysis> Arena;
-  for (const Execution &Y : relaxOneStep(A.execution(), V)) {
+  return forEachRelaxation(A.execution(), V, [&M](const Execution &Y) {
     if (!Arena)
       Arena.emplace(Y);
     else
       Arena->reset(Y);
-    if (!M.consistent(*Arena))
-      return false;
-  }
-  return true;
+    return M.consistent(*Arena);
+  });
 }
 
 namespace {

@@ -317,11 +317,8 @@ const char *Execution::checkWellFormed() const {
   Relation FromReads = Relation::cross(R, universe(), Num);
   if (!Addr.subsetOf(Po & FromReads))
     return "addr escapes po or starts at a non-read";
-  if (!Addr.range().bits() || true) {
-    // addr targets must be memory accesses.
-    if (!(Addr.range() - Acc).empty())
-      return "addr targets a non-access";
-  }
+  if (!(Addr.range() - Acc).empty())
+    return "addr targets a non-access";
   if (!Data.subsetOf(Po & FromReads))
     return "data escapes po or starts at a non-read";
   if (!(Data.range() - W).empty())
@@ -341,9 +338,12 @@ const char *Execution::checkWellFormed() const {
   for (EventId A : Rmw.domain())
     if (Rmw.successors(A).size() > 1)
       return "rmw read paired with two writes";
-  for (EventId B : Rmw.range())
-    if (Rmw.inverse().successors(B).size() > 1)
+  EventSet Paired;
+  for (EventId A : Rmw.domain()) {
+    if (!(Rmw.successors(A) & Paired).empty())
       return "rmw write paired with two reads";
+    Paired |= Rmw.successors(A);
+  }
 
   // Transactions: intra-thread, po-contiguous, valid class ids.
   for (unsigned A = 0; A < Num; ++A) {

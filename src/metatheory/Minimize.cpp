@@ -8,19 +8,15 @@ Execution tmw::minimizeInconsistent(
     const Execution &X, const MemoryModel &M, const Vocabulary &V,
     const std::function<bool(const Execution &)> &Invariant) {
   assert(!M.consistent(X) && "nothing to minimise");
-  Execution Cur = X;
-  bool Progress = true;
-  while (Progress) {
-    Progress = false;
-    for (const Execution &Child : relaxOneStep(Cur, V)) {
-      if (M.consistent(Child))
-        continue;
-      if (Invariant && !Invariant(Child))
-        continue;
-      Cur = Child;
-      Progress = true;
-      break;
-    }
-  }
+  Execution Cur = X, Next;
+  // Step to the first inconsistent, invariant-preserving child until none
+  // is left; the stream stops at that child, so the rest are never built.
+  while (!forEachRelaxation(Cur, V, [&](const Execution &Child) {
+    if (M.consistent(Child) || (Invariant && !Invariant(Child)))
+      return true;
+    Next = Child;
+    return false;
+  }))
+    Cur = Next;
   return Cur;
 }

@@ -235,6 +235,24 @@ TEST(WellFormedTest, RejectsRmwAcrossLocations) {
   EXPECT_NE(X.checkWellFormed(), nullptr);
 }
 
+TEST(WellFormedTest, RejectsRmwPairedTwice) {
+  // Two reads paired with one write, then one read with two writes.
+  ExecutionBuilder B;
+  EventId R0 = B.read(0, 0);
+  EventId R1 = B.read(0, 0);
+  EventId W0 = B.write(0, 0, MemOrder::NonAtomic, 1);
+  EventId W1 = B.write(0, 0, MemOrder::NonAtomic, 2);
+  B.rmw(R0, W0);
+  B.rmw(R1, W0);
+  Execution X = B.buildUnchecked();
+  EXPECT_STREQ(X.checkWellFormed(), "rmw write paired with two reads");
+  X.Rmw.erase(R1, W0);
+  X.Rmw.insert(R0, W1);
+  EXPECT_STREQ(X.checkWellFormed(), "rmw read paired with two writes");
+  X.Rmw.erase(R0, W0);
+  EXPECT_EQ(X.checkWellFormed(), nullptr);
+}
+
 TEST(WellFormedTest, RejectsMalformedCriticalRegion) {
   ExecutionBuilder B;
   EventId L = B.lockCall(0, EventKind::Lock);

@@ -3,10 +3,14 @@
 #include "TestGraphs.h"
 #include "enumerate/Relaxation.h"
 #include "models/Armv8Model.h"
+#include "models/CppModel.h"
+#include "models/PowerModel.h"
 #include "models/ScModel.h"
 #include "models/X86Model.h"
 
 #include <gtest/gtest.h>
+
+#include <memory>
 
 using namespace tmw;
 
@@ -16,7 +20,8 @@ TEST(RemoveEventTest, RemapsIdsAndEdges) {
   Execution X = shapes::messagePassing();
   // Remove the first write (event 0): the rf edge Wy->Ry survives with
   // shifted ids.
-  Execution Y = removeEvent(X, 0);
+  Execution Y;
+  removeEvent(X, 0, Y);
   EXPECT_EQ(Y.size(), X.size() - 1);
   EXPECT_EQ(Y.checkWellFormed(), nullptr);
   EXPECT_EQ(Y.Rf.numPairs(), 1u);
@@ -31,7 +36,8 @@ TEST(RemoveEventTest, CoStaysTotalAfterWriteRemoval) {
   B.co(W1, W2);
   B.co(W2, W3);
   Execution X = B.build();
-  Execution Y = removeEvent(X, W2);
+  Execution Y;
+  removeEvent(X, W2, Y);
   EXPECT_EQ(Y.checkWellFormed(), nullptr);
   EXPECT_TRUE(Y.Co.contains(0, 1)); // W1 before W3 still
 }
@@ -133,6 +139,90 @@ TEST(RelaxTest, CtrlRemovalKeepsForwardClosure) {
     EXPECT_TRUE(K.Ctrl.contains(R, 2)); // later target retained
   }
   EXPECT_TRUE(SawSuffix);
+}
+
+/// An ARMv8 execution with a child of every ARMv8 kind: removals,
+/// addr/data/ctrl/rmw drops, acquire/release/dmb downgrades, txn shrinks.
+Execution everyArmv8Child() {
+  ExecutionBuilder B;
+  EventId R0 = B.read(0, 0, MemOrder::Acquire);
+  EventId W0 = B.write(0, 1, MemOrder::NonAtomic, 1);
+  B.fence(0, FenceKind::Dmb);
+  EventId R1 = B.read(1, 1);
+  EventId W1 = B.write(1, 1, MemOrder::Release, 2);
+  EventId W2 = B.write(1, 0, MemOrder::NonAtomic, 1);
+  B.data(R0, W0);
+  B.addr(R1, W2);
+  B.rmw(R1, W1);
+  B.ctrl(R1, W1);
+  B.rf(W0, R1);
+  B.co(W0, W1);
+  B.txn({R1, W1, W2});
+  return B.build();
+}
+
+TEST(RelaxStreamTest, StopsAfterKChildren) {
+  Execution X = everyArmv8Child();
+  ASSERT_EQ(X.checkWellFormed(), nullptr);
+  const Execution Before = X;
+  Vocabulary V = Vocabulary::forArch(Arch::Armv8);
+  std::vector<Execution> All = relaxOneStep(X, V);
+  ASSERT_GE(All.size(), 15u);
+  // A sink that returns false on its k-th child sees exactly k children,
+  // the first k of the collected order; the stream then reports a stop.
+  for (unsigned K = 1; K <= All.size(); ++K) {
+    unsigned Seen = 0;
+    bool Finished = forEachRelaxation(X, V, [&](const Execution &Y) {
+      EXPECT_TRUE(Y == All[Seen]) << "child " << Seen;
+      return ++Seen < K;
+    });
+    EXPECT_FALSE(Finished);
+    EXPECT_EQ(Seen, K);
+  }
+  // A sink that never stops sees every child and the stream finishes.
+  unsigned Seen = 0;
+  EXPECT_TRUE(forEachRelaxation(X, V, [&Seen](const Execution &) {
+    ++Seen;
+    return true;
+  }));
+  EXPECT_EQ(Seen, All.size());
+  EXPECT_TRUE(X == Before); // the input is never written
+}
+
+TEST(RelaxStreamTest, StreamingMinimalityMatchesEagerDefinition) {
+  // isMinimallyInconsistent stops at the first inconsistent child through
+  // a per-thread arena; it must agree with the definition over the
+  // collected children on every placement up to MaxEvents. Power, ARMv8
+  // and C++ stop at |E| = 3: Power alone has 9.1M placements at |E| = 4.
+  struct Target {
+    Arch A;
+    std::unique_ptr<MemoryModel> M;
+    unsigned MaxEvents;
+  };
+  Target Targets[] = {{Arch::X86, std::make_unique<X86Model>(), 4},
+                      {Arch::Power, std::make_unique<PowerModel>(), 3},
+                      {Arch::Armv8, std::make_unique<Armv8Model>(), 3},
+                      {Arch::Cpp, std::make_unique<CppModel>(), 3}};
+  for (const Target &T : Targets) {
+    Vocabulary V = Vocabulary::forArch(T.A);
+    unsigned Minimal = 0;
+    for (unsigned N = 1; N <= T.MaxEvents; ++N) {
+      ExecutionEnumerator Enum(V, N);
+      Enum.forEachBase([&](Execution &Base) {
+        return Enum.forEachTxnPlacement(Base, [&](Execution &X) {
+          bool Eager = !T.M->consistent(X);
+          if (Eager)
+            for (const Execution &Y : relaxOneStep(X, V))
+              Eager = Eager && T.M->consistent(Y);
+          bool Streamed = isMinimallyInconsistent(X, *T.M, V);
+          EXPECT_EQ(Streamed, Eager) << X.dump();
+          Minimal += Streamed;
+          return Streamed == Eager;
+        });
+      });
+    }
+    EXPECT_GT(Minimal, 0u) << static_cast<int>(T.A);
+  }
 }
 
 TEST(MinimalityTest, SbWithTfenceTxnsIsMinimal) {

@@ -7,16 +7,21 @@
 /// each test here digests the in-order sequence of `Execution::hash()` of
 /// every visited execution and compares it with a recorded constant. A
 /// change that permutes the visit order (even one that keeps every count)
-/// fails here.
+/// fails here. The ⊏-children order is observable the same way: the
+/// minimality check and counterexample shrinking act on the first child
+/// they reach, and the Allow suites list children in this order.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "TestGraphs.h"
 #include "enumerate/Candidates.h"
 #include "enumerate/Enumerator.h"
+#include "enumerate/Relaxation.h"
 #include "litmus/Library.h"
 #include "metatheory/LockElision.h"
 #include "models/Armv8Model.h"
+#include "models/X86Model.h"
+#include "synth/Conformance.h"
 
 #include <gtest/gtest.h>
 
@@ -75,6 +80,38 @@ TEST(VisitOrderTest, Fig10LockVarCompletions) {
     D.add(Y);
   EXPECT_EQ(D.Count, 8u);
   EXPECT_EQ(D.H, 9944496826946928069ull);
+}
+
+TEST(VisitOrderTest, RelaxationChildren) {
+  // The children of the x86 |E| = 5 Forbid suite (the synthesis pass the
+  // benchmark times), and of every corpus candidate under each vocabulary
+  // with downgrades or atomic transactions.
+  X86Model Tm;
+  X86Model Baseline;
+  Baseline.setAxiomMask(baselineMask(Baseline.axioms()));
+  Vocabulary X86 = Vocabulary::forArch(Arch::X86);
+  ForbidSuite S = synthesizeForbid(Tm, Baseline, X86, 5, 1e18, 4);
+  ASSERT_TRUE(S.Complete);
+  Digest Suite;
+  for (const Execution &X : S.Tests)
+    for (const Execution &Y : relaxOneStep(X, X86))
+      Suite.add(Y);
+  EXPECT_EQ(S.Tests.size(), 60u);
+  EXPECT_EQ(Suite.Count, 444u);
+  EXPECT_EQ(Suite.H, 16886439516947129923ull);
+
+  Digest Corpus;
+  for (Arch A : {Arch::X86, Arch::Power, Arch::Armv8, Arch::Cpp}) {
+    Vocabulary V = Vocabulary::forArch(A);
+    for (const CorpusEntry &E : sharedCorpus())
+      forEachCandidate(E.Prog, [&](const Candidate &C) {
+        for (const Execution &Y : relaxOneStep(C.X, V))
+          Corpus.add(Y);
+        return true;
+      });
+  }
+  EXPECT_EQ(Corpus.Count, 13412u);
+  EXPECT_EQ(Corpus.H, 14635993490005907381ull);
 }
 
 TEST(VisitOrderTest, Armv8LockElisionSearch) {
