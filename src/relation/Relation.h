@@ -13,6 +13,13 @@
 /// which keeps the exhaustive enumerator (millions of consistency checks)
 /// fast.
 ///
+/// Invariant: only rows [0, size()) are meaningful. Rows at or beyond
+/// size() hold unspecified values. Constructors, copies and every kernel
+/// read and write only the live rows, so a relation over 5 events costs 5
+/// words, not 64. Never loop to kMaxEvents over `Rows` and never
+/// value-initialise it: either would bring back the 64-row fill on every
+/// temporary of every axiom term.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef TMW_RELATION_RELATION_H
@@ -20,6 +27,7 @@
 
 #include "relation/EventSet.h"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <utility>
@@ -29,10 +37,25 @@ namespace tmw {
 /// A binary relation over events {0, ..., Size-1}.
 class Relation {
 public:
-  Relation() : Size(0) { Rows.fill(0); }
+  /// The empty relation over no events; touches no row.
+  Relation() : Size(0) {}
+  /// The empty relation over \p Size events; zeroes only the live rows.
   explicit Relation(unsigned Size) : Size(Size) {
     assert(Size <= kMaxEvents && "execution too large");
-    Rows.fill(0);
+    std::fill_n(Rows.begin(), Size, 0);
+  }
+  /// Copies carry only the live rows. There is no move constructor: moving
+  /// a row array costs what copying it does, so moves use these.
+  Relation(const Relation &O) : Size(O.Size) {
+    std::copy_n(O.Rows.begin(), Size, Rows.begin());
+  }
+  /// A plain row loop rather than `std::copy_n`, so that self-assignment
+  /// is well defined without a branch.
+  Relation &operator=(const Relation &O) {
+    Size = O.Size;
+    for (unsigned A = 0; A < Size; ++A)
+      Rows[A] = O.Rows[A];
+    return *this;
   }
 
   unsigned size() const { return Size; }
@@ -128,6 +151,7 @@ public:
 
 private:
   unsigned Size;
+  /// No initialiser: rows [size(), kMaxEvents) are left unspecified.
   std::array<uint64_t, kMaxEvents> Rows;
 };
 

@@ -264,6 +264,36 @@ inline Execution dongolComparison() {
   return B.build();
 }
 
+/// Not a litmus shape: 64 events over 4 threads and 3 locations, every
+/// stored relation the full relation over all 64 events, every event in a
+/// transaction class and a critical-region class, every class atomic. Not
+/// well-formed; it is the largest, densest value an `Execution` can hold.
+/// Reuse tests clear or retarget it down to a small execution, where any
+/// read of a row it left behind changes an answer.
+inline Execution denseSixtyFour() {
+  ExecutionBuilder B;
+  for (unsigned E = 0; E < kMaxEvents; ++E) {
+    unsigned Thread = E % 4;
+    LocId Loc = static_cast<LocId>(E % 3);
+    if (E % 8 == 7)
+      B.fence(Thread, FenceKind::MFence);
+    else if (E % 2)
+      B.write(Thread, Loc, MemOrder::SeqCst, static_cast<int>(E));
+    else
+      B.read(Thread, Loc, MemOrder::Acquire);
+  }
+  Execution X = B.buildUnchecked();
+  Relation Full = Relation::cross(X.universe(), X.universe(), kMaxEvents);
+  for (Relation *R : {&X.Po, &X.Rf, &X.Co, &X.Addr, &X.Data, &X.Ctrl, &X.Rmw})
+    *R = Full;
+  for (unsigned E = 0; E < kMaxEvents; ++E) {
+    X.Txn[E] = static_cast<int>(E % 5);
+    X.Cr[E] = static_cast<int>(E % 3);
+  }
+  X.AtomicTxns = 0x1f;
+  return X;
+}
+
 } // namespace tmw::shapes
 
 #endif // TMW_TESTS_TESTGRAPHS_H

@@ -212,6 +212,79 @@ TEST(AnalysisMemoization, ResetRetargets) {
   EXPECT_EQ(A.rfe(), Y.rfe());
 }
 
+/// Every memoized event set of \p A; reading them fills each slot.
+std::vector<EventSet> allSets(const ExecutionAnalysis &A) {
+  std::vector<EventSet> Out = {A.reads(),    A.writes(),   A.fences(),
+                               A.accesses(), A.atomics(),  A.acquires(),
+                               A.releases(), A.seqCst(),   A.transactional(),
+                               A.atomicTransactional()};
+  for (unsigned K = 0; K < kNumFenceKinds; ++K)
+    Out.push_back(A.fences(static_cast<FenceKind>(K)));
+  return Out;
+}
+
+/// Every memoized relation of \p A plus one transaction-dependent
+/// `memoTerm` entry; reading them fills each slot.
+std::vector<Relation> allRelations(const ExecutionAnalysis &A) {
+  static const char TermTag = 0;
+  std::vector<Relation> Out = {A.sloc(),
+                               A.sameThread(),
+                               A.poLoc(),
+                               A.poImm(),
+                               A.fr(),
+                               A.com(),
+                               A.ecom(),
+                               A.rfe(),
+                               A.rfi(),
+                               A.coe(),
+                               A.coi(),
+                               A.fre(),
+                               A.fri(),
+                               A.stxn(),
+                               A.stxnAtomic(),
+                               A.tfence(),
+                               A.scr(),
+                               A.scrt(),
+                               A.cppSynchronisesWith(),
+                               A.cppTransactionalSw(),
+                               A.weakLiftComStxn(),
+                               A.strongLiftComStxn(),
+                               A.strongLiftComStxnAtomic()};
+  for (unsigned K = 0; K < kNumFenceKinds; ++K)
+    Out.push_back(A.fenceRel(static_cast<FenceKind>(K)));
+  Out.push_back(A.memoTerm(&TermTag, /*Salt=*/7, /*TxnDependent=*/true, [&] {
+    return A.com().compose(A.stxn()) | A.po().inverse();
+  }));
+  return Out;
+}
+
+TEST(AnalysisMemoization, ResetFromSixtyFourEventsMatchesFreshAnalysis) {
+  // An arena whose every slot and term holds a 64-event value, retargeted
+  // to a 4-event execution, must answer exactly like a fresh analysis.
+  const Execution Big = shapes::denseSixtyFour();
+  Execution Small = shapes::messagePassing();
+  Small.Txn[0] = 0;
+  Small.Txn[1] = 0;
+  Small.AtomicTxns = 1;
+  ExecutionAnalysis Arena(Big);
+  ASSERT_EQ(allRelations(Arena).front().size(), kMaxEvents);
+  allSets(Arena);
+  Arena.reset(Small);
+  const ExecutionAnalysis Fresh(Small);
+  EXPECT_EQ(Arena.execution().hash(), Fresh.execution().hash());
+  EXPECT_EQ(allSets(Arena), allSets(Fresh));
+  // Twice: once computing into the reused slots, once from the memo.
+  for (int Round = 0; Round < 2; ++Round) {
+    std::vector<Relation> Got = allRelations(Arena);
+    std::vector<Relation> Want = allRelations(Fresh);
+    ASSERT_EQ(Got.size(), Want.size());
+    for (size_t I = 0; I < Got.size(); ++I) {
+      EXPECT_EQ(Got[I].size(), Small.size()) << "term " << I;
+      EXPECT_EQ(Got[I], Want[I]) << "term " << I;
+    }
+  }
+}
+
 TEST(ShardedEnumeration, ParallelForbidSynthesisMatchesSequential) {
   X86Model Tm;
   X86Model Baseline;

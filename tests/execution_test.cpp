@@ -1,5 +1,7 @@
 //===- execution_test.cpp - Execution graphs and derived relations ------------==//
 
+#include "TestGraphs.h"
+#include "enumerate/Relaxation.h"
 #include "execution/Builder.h"
 
 #include <gtest/gtest.h>
@@ -308,6 +310,72 @@ TEST(ExecutionTest, HashDistinguishesRelations) {
   EXPECT_NE(B1.build().hash(), B2.build().hash());
   EXPECT_FALSE(B1.build() == B2.build());
   EXPECT_TRUE(B1.build() == B1.build());
+}
+
+//===----------------------------------------------------------------------===
+// Reuse: an execution object that once held 64 dense events must behave
+// exactly like a freshly built one after clear() or removeEvent() shrink it.
+//===----------------------------------------------------------------------===
+
+/// Copies \p From into \p To, which has been cleared to From's size, one
+/// event and one edge at a time.
+void refill(Execution &To, const Execution &From) {
+  for (EventId E = 0; E < From.size(); ++E) {
+    To.event(E) = From.event(E);
+    To.Txn[E] = From.Txn[E];
+    To.Cr[E] = From.Cr[E];
+  }
+  To.AtomicTxns = From.AtomicTxns;
+  Relation Execution::*Rels[] = {&Execution::Po,   &Execution::Rf,
+                                 &Execution::Co,   &Execution::Addr,
+                                 &Execution::Data, &Execution::Ctrl,
+                                 &Execution::Rmw};
+  for (Relation Execution::*Rel : Rels)
+    (From.*Rel).forEachPair(
+        [&](EventId A, EventId B) { (To.*Rel).insert(A, B); });
+}
+
+TEST(ExecutionReuseTest, ClearFromSixtyFourEventsMatchesFresh) {
+  ExecutionBuilder B;
+  EventId W = B.write(0, 0, MemOrder::NonAtomic, 1);
+  EventId R = B.read(1, 0);
+  EventId W2 = B.write(1, 1, MemOrder::NonAtomic, 1);
+  B.rf(W, R);
+  B.data(R, W2);
+  B.txn({R, W2}, /*Atomic=*/true);
+  const Execution Want = B.build();
+
+  Execution Reused = shapes::denseSixtyFour();
+  Reused.clear(3);
+  const Execution Empty(3);
+  EXPECT_TRUE(Reused == Empty);
+  EXPECT_EQ(Reused.hash(), Empty.hash());
+
+  refill(Reused, Want);
+  EXPECT_TRUE(Reused == Want);
+  EXPECT_EQ(Reused.hash(), Want.hash());
+  EXPECT_EQ(Reused.fr(), Want.fr());
+  EXPECT_EQ(Reused.com(), Want.com());
+  EXPECT_EQ(Reused.poLoc(), Want.poLoc());
+  EXPECT_EQ(Reused.stxn(), Want.stxn());
+  EXPECT_EQ(Reused.stxnAtomic(), Want.stxnAtomic());
+  EXPECT_EQ(Reused.checkWellFormed(), Want.checkWellFormed());
+}
+
+TEST(ExecutionReuseTest, RemoveEventIntoLargerExecutionMatchesFresh) {
+  const Execution Shapes[] = {shapes::storeBuffering(),
+                              shapes::messagePassingDep(true),
+                              shapes::powerWrcTxnObserved(),
+                              shapes::lockElisionAbstract()};
+  for (const Execution &X : Shapes)
+    for (EventId E = 0; E < X.size(); ++E) {
+      Execution Fresh;
+      removeEvent(X, E, Fresh);
+      Execution Reused = shapes::denseSixtyFour();
+      removeEvent(X, E, Reused);
+      EXPECT_TRUE(Reused == Fresh) << X.dump() << "removed " << E;
+      EXPECT_EQ(Reused.hash(), Fresh.hash()) << X.dump() << "removed " << E;
+    }
 }
 
 } // namespace

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <set>
+#include <utility>
+#include <vector>
 
 using namespace tmw;
 
@@ -268,5 +271,364 @@ TEST_P(RandomRelationTest, LiftDefinitions) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomRelationTest,
                          ::testing::Range(0u, 24u));
+
+//===----------------------------------------------------------------------===
+// Differential oracle: every public operation against a naive set of pairs,
+// at every size 0..64, on fresh objects and on objects that first held the
+// full relation over 64 events and were then assigned down to the size.
+// Only rows [0, size()) of a relation are meaningful; a kernel that read a
+// row past size() would see the stale all-ones rows and change an answer.
+//===----------------------------------------------------------------------===
+
+using PairSet = std::set<std::pair<EventId, EventId>>;
+
+PairSet pairsOf(const Relation &R) {
+  PairSet P;
+  for (EventId A = 0; A < R.size(); ++A)
+    for (EventId B = 0; B < R.size(); ++B)
+      if (R.contains(A, B))
+        P.insert({A, B});
+  return P;
+}
+
+Relation fromPairs(const PairSet &P, unsigned N) {
+  Relation R(N);
+  for (auto [A, B] : P)
+    R.insert(A, B);
+  return R;
+}
+
+/// Successors of \p A in \p R, ascending.
+std::vector<EventId> naiveSuccessors(const PairSet &R, EventId A) {
+  std::vector<EventId> Out;
+  for (auto It = R.lower_bound({A, 0}); It != R.end() && It->first == A; ++It)
+    Out.push_back(It->second);
+  return Out;
+}
+
+PairSet naiveUnion(const PairSet &R, const PairSet &S) {
+  PairSet Out = R;
+  Out.insert(S.begin(), S.end());
+  return Out;
+}
+
+PairSet naiveIntersection(const PairSet &R, const PairSet &S) {
+  PairSet Out;
+  for (const auto &P : R)
+    if (S.count(P))
+      Out.insert(P);
+  return Out;
+}
+
+PairSet naiveDifference(const PairSet &R, const PairSet &S) {
+  PairSet Out;
+  for (const auto &P : R)
+    if (!S.count(P))
+      Out.insert(P);
+  return Out;
+}
+
+PairSet naiveCompose(const PairSet &R, const PairSet &S) {
+  PairSet Out;
+  for (auto [A, Mid] : R)
+    for (EventId B : naiveSuccessors(S, Mid))
+      Out.insert({A, B});
+  return Out;
+}
+
+PairSet naiveInverse(const PairSet &R) {
+  PairSet Out;
+  for (auto [A, B] : R)
+    Out.insert({B, A});
+  return Out;
+}
+
+PairSet naiveIdentity(EventSet S, unsigned N) {
+  PairSet Out;
+  for (EventId E = 0; E < N; ++E)
+    if (S.contains(E))
+      Out.insert({E, E});
+  return Out;
+}
+
+PairSet naiveComplement(const PairSet &R, unsigned N) {
+  PairSet Out;
+  for (EventId A = 0; A < N; ++A)
+    for (EventId B = 0; B < N; ++B)
+      if (!R.count({A, B}))
+        Out.insert({A, B});
+  return Out;
+}
+
+/// Transitive closure by a depth-first search from every event.
+PairSet naivePlus(const PairSet &R, unsigned N) {
+  PairSet Out;
+  for (EventId Src = 0; Src < N; ++Src) {
+    std::vector<EventId> Stack = {Src};
+    while (!Stack.empty()) {
+      EventId U = Stack.back();
+      Stack.pop_back();
+      for (EventId V : naiveSuccessors(R, U))
+        if (Out.insert({Src, V}).second)
+          Stack.push_back(V);
+    }
+  }
+  return Out;
+}
+
+bool naiveIrreflexive(const PairSet &R) {
+  for (auto [A, B] : R)
+    if (A == B)
+      return false;
+  return true;
+}
+
+/// Length of a shortest cycle through \p E, or 0 when E lies on none.
+unsigned naiveShortestCycle(const PairSet &R, EventId E, unsigned N) {
+  std::vector<bool> Seen(N, false);
+  std::vector<EventId> Frontier = {E};
+  for (unsigned Len = 1; !Frontier.empty(); ++Len) {
+    std::vector<EventId> Next;
+    for (EventId U : Frontier)
+      for (EventId V : naiveSuccessors(R, U)) {
+        if (V == E)
+          return Len;
+        if (!Seen[V]) {
+          Seen[V] = true;
+          Next.push_back(V);
+        }
+      }
+    Frontier = std::move(Next);
+  }
+  return 0;
+}
+
+PairSet randomPairs(std::mt19937 &Rng, unsigned N, double Density,
+                    bool ForwardOnly) {
+  PairSet P;
+  std::bernoulli_distribution Flip(Density);
+  for (EventId A = 0; A < N; ++A)
+    for (EventId B = 0; B < N; ++B)
+      if ((!ForwardOnly || A < B) && Flip(Rng))
+        P.insert({A, B});
+  return P;
+}
+
+EventSet randomSet(std::mt19937 &Rng, unsigned N) {
+  std::bernoulli_distribution Flip(0.5);
+  EventSet S;
+  for (EventId E = 0; E < N; ++E)
+    if (Flip(Rng))
+      S.insert(E);
+  return S;
+}
+
+/// The full relation over kMaxEvents events: every row all ones.
+Relation fullRelation() {
+  return Relation::cross(EventSet::universe(kMaxEvents),
+                         EventSet::universe(kMaxEvents), kMaxEvents);
+}
+
+/// How the objects under test came to hold their value.
+enum class Reuse {
+  /// Built directly at their size.
+  Fresh,
+  /// Held fullRelation(), then copy-assigned from a named relation.
+  CopyAssigned,
+  /// Held fullRelation(), then move-assigned.
+  MoveAssigned,
+};
+
+/// Gives \p Obj the value \p P over \p N events the way \p M says.
+void assign(Relation &Obj, const PairSet &P, unsigned N, Reuse M) {
+  Relation Built = fromPairs(P, N);
+  if (M != Reuse::Fresh)
+    Obj = fullRelation();
+  if (M == Reuse::MoveAssigned)
+    Obj = std::move(Built);
+  else
+    Obj = Built;
+}
+
+class RelationOracleTest : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(RelationOracleTest, EveryOperationMatchesNaivePairSets) {
+  const unsigned N = GetParam();
+  std::mt19937 Rng(N * 2654435761u + 17);
+  struct Shape {
+    double Density;
+    bool ForwardOnly;
+  };
+  // Sparse, medium and dense relations, plus acyclic (forward-only) ones
+  // so that isAcyclic and findCycle see both answers at every size.
+  const Shape Shapes[] = {{0.05, false}, {0.3, false}, {0.9, false},
+                          {0.3, true}};
+  for (const Shape &Sh : Shapes) {
+    const PairSet RP = randomPairs(Rng, N, Sh.Density, Sh.ForwardOnly);
+    const PairSet SP = randomPairs(Rng, N, Sh.Density, Sh.ForwardOnly);
+    const EventSet Dom = randomSet(Rng, N), Ran = randomSet(Rng, N);
+    const PairSet Id = naiveIdentity(EventSet::universe(N), N);
+    const PairSet Composed = naiveCompose(RP, SP);
+    const PairSet Complement = naiveComplement(RP, N);
+    const PairSet Plus = naivePlus(RP, N);
+    for (Reuse M : {Reuse::Fresh, Reuse::CopyAssigned, Reuse::MoveAssigned}) {
+      SCOPED_TRACE(testing::Message()
+                   << "N=" << N << " density=" << Sh.Density
+                   << " forward=" << Sh.ForwardOnly
+                   << " reuse=" << static_cast<int>(M));
+      Relation R, S;
+      assign(R, RP, N, M);
+      assign(S, SP, N, M);
+      // Results land in an object that held fullRelation() as well.
+      Relation Out = fullRelation();
+      auto Got = [&](const Relation &Value) {
+        Out = Value;
+        EXPECT_EQ(Out.size(), N);
+        return pairsOf(Out);
+      };
+
+      EXPECT_EQ(R.size(), N);
+      EXPECT_EQ(pairsOf(R), RP);
+      EXPECT_EQ(Got(R | S), naiveUnion(RP, SP));
+      EXPECT_EQ(Got(R & S), naiveIntersection(RP, SP));
+      EXPECT_EQ(Got(R - S), naiveDifference(RP, SP));
+      {
+        Relation C;
+        assign(C, RP, N, M);
+        C |= S;
+        EXPECT_EQ(pairsOf(C), naiveUnion(RP, SP));
+        assign(C, RP, N, M);
+        C &= S;
+        EXPECT_EQ(pairsOf(C), naiveIntersection(RP, SP));
+        assign(C, RP, N, M);
+        C -= S;
+        EXPECT_EQ(pairsOf(C), naiveDifference(RP, SP));
+      }
+      EXPECT_EQ(Got(R.compose(S)), Composed);
+      EXPECT_EQ(Got(R.inverse()), naiveInverse(RP));
+      EXPECT_EQ(Got(R.complement()), Complement);
+      EXPECT_EQ(Got(R.optional()), naiveUnion(RP, Id));
+      EXPECT_EQ(Got(R.transitiveClosure()), Plus);
+      EXPECT_EQ(Got(R.reflexiveTransitiveClosure()), naiveUnion(Plus, Id));
+
+      PairSet RestrictedDom, RestrictedRan;
+      EventSet Domain, Range, Reflexive;
+      for (auto [A, B] : RP) {
+        if (Dom.contains(A))
+          RestrictedDom.insert({A, B});
+        if (Ran.contains(B))
+          RestrictedRan.insert({A, B});
+        Domain.insert(A);
+        Range.insert(B);
+        if (A == B)
+          Reflexive.insert(A);
+      }
+      EXPECT_EQ(Got(R.restrictDomain(Dom)), RestrictedDom);
+      EXPECT_EQ(Got(R.restrictRange(Ran)), RestrictedRan);
+      EXPECT_EQ(R.domain(), Domain);
+      EXPECT_EQ(R.range(), Range);
+      EXPECT_EQ(R.field(), Domain | Range);
+      EXPECT_EQ(R.reflexivePoints(), Reflexive);
+
+      EXPECT_EQ(Got(Relation::identityOn(Dom, N)), naiveIdentity(Dom, N));
+      PairSet Cross;
+      for (EventId A : Dom)
+        for (EventId B : Ran)
+          Cross.insert({A, B});
+      EXPECT_EQ(Got(Relation::cross(Dom, Ran, N)), Cross);
+      EXPECT_TRUE(Relation::empty(N).isEmpty());
+
+      EXPECT_EQ(R.isEmpty(), RP.empty());
+      EXPECT_EQ(R.isIrreflexive(), naiveIrreflexive(RP));
+      EXPECT_EQ(R.isAcyclic(), naiveIrreflexive(Plus));
+      EXPECT_EQ(R.numPairs(), RP.size());
+      EXPECT_EQ(R.subsetOf(S), naiveDifference(RP, SP).empty());
+      EXPECT_EQ(R == S, RP == SP);
+
+      // Witness: the shortest cycle through the lowest event on a cycle.
+      EventSet Cycle = R.findCycle();
+      if (naiveIrreflexive(Plus)) {
+        EXPECT_TRUE(Cycle.empty());
+      } else {
+        EventId Lowest = 0;
+        while (!Plus.count({Lowest, Lowest}))
+          ++Lowest;
+        EXPECT_EQ(Cycle.first(), EventSet::singleton(Lowest));
+        EXPECT_EQ(Cycle.size(), naiveShortestCycle(RP, Lowest, N));
+        // Restricted to its own events, the witness still cycles through
+        // the lowest one.
+        PairSet Within;
+        for (auto [A, B] : RP)
+          if (Cycle.contains(A) && Cycle.contains(B))
+            Within.insert({A, B});
+        EXPECT_TRUE(naivePlus(Within, N).count({Lowest, Lowest}));
+      }
+
+      PairSet Visited;
+      EventId PrevA = 0, PrevB = 0;
+      bool Ordered = true;
+      R.forEachPair([&](EventId A, EventId B) {
+        if (!Visited.empty() &&
+            std::make_pair(A, B) <= std::make_pair(PrevA, PrevB))
+          Ordered = false;
+        Visited.insert({A, B});
+        PrevA = A;
+        PrevB = B;
+      });
+      EXPECT_EQ(Visited, RP);
+      EXPECT_TRUE(Ordered);
+      for (EventId A = 0; A < N; ++A) {
+        EventSet Succ;
+        for (EventId B : naiveSuccessors(RP, A))
+          Succ.insert(B);
+        EXPECT_EQ(R.successors(A), Succ);
+      }
+    }
+  }
+}
+
+TEST_P(RelationOracleTest, EqualityIgnoresRowsPastSize) {
+  // The same value held by objects whose dead rows differ: one reused
+  // from the full 64-event relation, one from the empty one, one fresh.
+  const unsigned N = GetParam();
+  std::mt19937 Rng(N + 101);
+  const PairSet P = randomPairs(Rng, N, 0.4, false);
+  Relation FromFull = fullRelation();
+  FromFull = fromPairs(P, N);
+  Relation FromEmpty(kMaxEvents);
+  FromEmpty = fromPairs(P, N);
+  Relation Fresh = fromPairs(P, N);
+  EXPECT_TRUE(FromFull == FromEmpty);
+  EXPECT_TRUE(FromEmpty == FromFull);
+  EXPECT_TRUE(FromFull == Fresh);
+  EXPECT_TRUE(FromFull.subsetOf(FromEmpty));
+  EXPECT_TRUE(FromEmpty.subsetOf(FromFull));
+  EXPECT_EQ((FromFull | FromEmpty), Fresh);
+  EXPECT_EQ((FromFull - FromEmpty).numPairs(), 0u);
+  // Copies of a reused object carry only its live rows.
+  Relation Copy(FromFull);
+  EXPECT_EQ(Copy, FromEmpty);
+  Copy = Copy; // self-assignment keeps the value
+  EXPECT_EQ(pairsOf(Copy), P);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, RelationOracleTest,
+                         ::testing::Range(0u, kMaxEvents + 1));
+
+TEST(RelationTest, UniverseOf64Events) {
+  // The edge the byte-per-row sweeps never reach: a full 64-bit row.
+  Relation Full = fullRelation();
+  EXPECT_EQ(Full.size(), kMaxEvents);
+  EXPECT_EQ(Full.numPairs(), kMaxEvents * kMaxEvents);
+  EXPECT_EQ(Full.domain(), EventSet::universe(kMaxEvents));
+  EXPECT_EQ(Full.range(), EventSet::universe(kMaxEvents));
+  EXPECT_TRUE(Full.complement().isEmpty());
+  EXPECT_EQ(Full.compose(Full), Full);
+  EXPECT_EQ(Full.transitiveClosure(), Full);
+  EXPECT_EQ(Relation(kMaxEvents).complement(), Full);
+  EXPECT_FALSE(Full.isAcyclic());
+  EXPECT_EQ(Full.findCycle(), EventSet::singleton(0));
+  EXPECT_FALSE(Relation(kMaxEvents).optional().isIrreflexive());
+}
 
 } // namespace
