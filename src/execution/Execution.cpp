@@ -66,88 +66,24 @@ unsigned Execution::numCrs() const {
 
 EventSet Execution::reads() const { return ofKind(EventKind::Read); }
 EventSet Execution::writes() const { return ofKind(EventKind::Write); }
-EventSet Execution::fences() const { return ofKind(EventKind::Fence); }
-
 EventSet Execution::accesses() const { return reads() | writes(); }
 
-EventSet Execution::fences(FenceKind K) const {
-  EventSet S;
-  for (unsigned E = 0; E < Num; ++E)
-    if (Events[E].isFence() && Events[E].Fence == K)
-      S.insert(E);
-  return S;
-}
-
-EventSet Execution::atomics() const {
-  EventSet S;
-  for (unsigned E = 0; E < Num; ++E)
-    if (Events[E].isAtomic())
-      S.insert(E);
-  return S;
-}
-
-EventSet Execution::acquires() const {
-  EventSet S;
-  for (unsigned E = 0; E < Num; ++E)
-    if (Events[E].isAcquire())
-      S.insert(E);
-  return S;
-}
-
-EventSet Execution::releases() const {
-  EventSet S;
-  for (unsigned E = 0; E < Num; ++E)
-    if (Events[E].isRelease())
-      S.insert(E);
-  return S;
-}
-
-EventSet Execution::seqCst() const {
-  EventSet S;
-  for (unsigned E = 0; E < Num; ++E)
-    if (Events[E].isSeqCst())
-      S.insert(E);
-  return S;
-}
-
 EventSet Execution::ofKind(EventKind K) const {
-  EventSet S;
-  for (unsigned E = 0; E < Num; ++E)
-    if (Events[E].Kind == K)
-      S.insert(E);
-  return S;
+  return eventsWhere([&](EventId E) { return Events[E].Kind == K; });
 }
 
 EventSet Execution::transactional() const {
-  EventSet S;
-  for (unsigned E = 0; E < Num; ++E)
-    if (Txn[E] != kNoClass)
-      S.insert(E);
-  return S;
-}
-
-EventSet Execution::atomicTransactional() const {
-  EventSet S;
-  for (unsigned E = 0; E < Num; ++E)
-    if (Txn[E] != kNoClass && (AtomicTxns >> Txn[E]) & 1)
-      S.insert(E);
-  return S;
+  return eventsWhere([&](EventId E) { return Txn[E] != kNoClass; });
 }
 
 EventSet Execution::atLocation(LocId L) const {
-  EventSet S;
-  for (unsigned E = 0; E < Num; ++E)
-    if (Events[E].isMemoryAccess() && Events[E].Loc == L)
-      S.insert(E);
-  return S;
+  return eventsWhere([&](EventId E) {
+    return Events[E].isMemoryAccess() && Events[E].Loc == L;
+  });
 }
 
 EventSet Execution::ofThread(unsigned T) const {
-  EventSet S;
-  for (unsigned E = 0; E < Num; ++E)
-    if (Events[E].Thread == T)
-      S.insert(E);
-  return S;
+  return eventsWhere([&](EventId E) { return Events[E].Thread == T; });
 }
 
 Relation Execution::sloc() const {
@@ -157,108 +93,6 @@ Relation Execution::sloc() const {
       continue;
     for (unsigned B = 0; B < Num; ++B)
       if (Events[B].isMemoryAccess() && Events[A].Loc == Events[B].Loc)
-        R.insert(A, B);
-  }
-  return R;
-}
-
-Relation Execution::sameThread() const {
-  Relation R(Num);
-  for (unsigned A = 0; A < Num; ++A)
-    for (unsigned B = 0; B < Num; ++B)
-      if (Events[A].Thread == Events[B].Thread)
-        R.insert(A, B);
-  return R;
-}
-
-Relation Execution::poLoc() const { return Po & sloc(); }
-
-Relation Execution::poImm() const { return Po - Po.compose(Po); }
-
-Relation Execution::fr() const {
-  // fr = ([R] ; sloc ; [W]) \ (rf^-1 ; (co^-1)^*)  (§2.1). A read with no
-  // rf source reads the initial value and is fr-before every write to its
-  // location.
-  Relation ReadsToWrites =
-      sloc().restrictDomain(reads()).restrictRange(writes());
-  Relation NotAfter =
-      Rf.inverse().compose(Co.inverse().reflexiveTransitiveClosure());
-  return ReadsToWrites - NotAfter;
-}
-
-Relation Execution::com() const { return Rf | Co | fr(); }
-
-Relation Execution::ecom() const { return com() | Co.compose(Rf); }
-
-Relation Execution::external(const Relation &R) const {
-  return R - sameThread();
-}
-
-Relation Execution::internal(const Relation &R) const {
-  return R & sameThread();
-}
-
-Relation Execution::fenceRel(FenceKind K) const {
-  Relation Id = Relation::identityOn(fences(K), Num);
-  return Po.compose(Id).compose(Po);
-}
-
-Relation Execution::stxn() const {
-  Relation R(Num);
-  for (unsigned A = 0; A < Num; ++A) {
-    if (Txn[A] == kNoClass)
-      continue;
-    for (unsigned B = 0; B < Num; ++B)
-      if (Txn[B] == Txn[A])
-        R.insert(A, B);
-  }
-  return R;
-}
-
-Relation Execution::stxnAtomic() const {
-  Relation R(Num);
-  for (unsigned A = 0; A < Num; ++A) {
-    if (Txn[A] == kNoClass || !((AtomicTxns >> Txn[A]) & 1))
-      continue;
-    for (unsigned B = 0; B < Num; ++B)
-      if (Txn[B] == Txn[A])
-        R.insert(A, B);
-  }
-  return R;
-}
-
-Relation Execution::tfence() const {
-  Relation S = stxn();
-  Relation NotS = S.complement();
-  return Po & (NotS.compose(S) | S.compose(NotS));
-}
-
-Relation Execution::scr() const {
-  Relation R(Num);
-  for (unsigned A = 0; A < Num; ++A) {
-    if (Cr[A] == kNoClass)
-      continue;
-    for (unsigned B = 0; B < Num; ++B)
-      if (Cr[B] == Cr[A])
-        R.insert(A, B);
-  }
-  return R;
-}
-
-bool Execution::crTransactional(int C) const {
-  for (unsigned E = 0; E < Num; ++E)
-    if (Cr[E] == C && Events[E].Kind == EventKind::TxLock)
-      return true;
-  return false;
-}
-
-Relation Execution::scrt() const {
-  Relation R(Num);
-  for (unsigned A = 0; A < Num; ++A) {
-    if (Cr[A] == kNoClass || !crTransactional(Cr[A]))
-      continue;
-    for (unsigned B = 0; B < Num; ++B)
-      if (Cr[B] == Cr[A])
         R.insert(A, B);
   }
   return R;

@@ -7,12 +7,12 @@
 /// per-event class id inducing the `stxn` partial equivalence relation, and
 /// critical regions similarly induce `scr`.
 ///
-/// The derived relations of §2.1 (fr, com, internal/external restrictions,
-/// fence relations, tfence) are provided as methods. These re-derive on
-/// every call; the consistency-check hot path goes through
-/// `ExecutionAnalysis` (ExecutionAnalysis.h), which memoizes each derived
-/// term once per immutable execution — keep the two in sync (the analysis
-/// cross-check test enforces agreement).
+/// `Execution` is the graph and nothing more: the stored relations and
+/// class labellings, plus the few event sets and `sloc` that building and
+/// validating a graph needs. Every derived term of the axioms (fr, com,
+/// stxn, tfence, the fence relations, internal/external splits, ...) is
+/// defined once, in `ExecutionAnalysis` (ExecutionAnalysis.h), which
+/// memoizes it per immutable execution.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -99,78 +99,29 @@ public:
 
   EventSet reads() const;
   EventSet writes() const;
-  EventSet fences() const;
   /// Reads and writes.
   EventSet accesses() const;
-  /// Fences of flavour \p K.
-  EventSet fences(FenceKind K) const;
-  /// C++ atomic events (Ato in Fig. 9).
-  EventSet atomics() const;
-  /// Events with acquire semantics (reads/fences).
-  EventSet acquires() const;
-  /// Events with release semantics (writes/fences).
-  EventSet releases() const;
-  /// Events with SC consistency mode.
-  EventSet seqCst() const;
   /// Events of kind \p K.
   EventSet ofKind(EventKind K) const;
   /// Events inside some successful transaction.
   EventSet transactional() const;
-  /// Events inside some C++ atomic transaction.
-  EventSet atomicTransactional() const;
   /// Events accessing location \p L.
   EventSet atLocation(LocId L) const;
   /// Events of thread \p T.
   EventSet ofThread(unsigned T) const;
 
-  //===--------------------------------------------------------------------===
-  // Derived relations (§2.1, §3.1, §3.3).
-  //===--------------------------------------------------------------------===
+  /// The events \p E with `P(E)`: the one per-event scan every event set
+  /// here and in `ExecutionAnalysis` is built from.
+  template <typename Pred> EventSet eventsWhere(Pred &&P) const {
+    EventSet S;
+    for (unsigned E = 0; E < Num; ++E)
+      if (P(E))
+        S.insert(E);
+    return S;
+  }
 
   /// Same-location relation over memory accesses (includes identity pairs).
   Relation sloc() const;
-  /// Same-thread relation, (po ∪ po^-1)^* — includes identity pairs.
-  Relation sameThread() const;
-  /// po restricted to same-location pairs.
-  Relation poLoc() const;
-  /// Immediate program order (po minus po;po).
-  Relation poImm() const;
-  /// From-read: fr = ([R] ; sloc ; [W]) \ (rf^-1 ; (co^-1)^*).
-  Relation fr() const;
-  /// Communication: com = rf ∪ co ∪ fr.
-  Relation com() const;
-  /// Extended communication (§7.2): ecom = com ∪ (co ; rf).
-  Relation ecom() const;
-
-  /// Inter-thread restriction r^e = r \ sameThread.
-  Relation external(const Relation &R) const;
-  /// Intra-thread restriction r^i = r ∩ sameThread.
-  Relation internal(const Relation &R) const;
-
-  Relation rfe() const { return external(Rf); }
-  Relation rfi() const { return internal(Rf); }
-  Relation coe() const { return external(Co); }
-  Relation coi() const { return internal(Co); }
-  Relation fre() const { return external(fr()); }
-  Relation fri() const { return internal(fr()); }
-
-  /// po ; [F_K] ; po — events separated by a fence of flavour \p K.
-  Relation fenceRel(FenceKind K) const;
-
-  /// Transaction equivalence (symmetric, transitive, reflexive on events in
-  /// successful transactions).
-  Relation stxn() const;
-  /// `stxn` restricted to C++ atomic transactions (stxnat, §7.2).
-  Relation stxnAtomic() const;
-  /// Implicit transaction fences: po ∩ ((¬stxn ; stxn) ∪ (stxn ; ¬stxn)).
-  Relation tfence() const;
-
-  /// Critical-region equivalence (§8.3), reflexive on events in CRs.
-  Relation scr() const;
-  /// `scr` restricted to CRs that will be transactionalised.
-  Relation scrt() const;
-  /// True when CR \p C is opened by a TxLock (an elided region).
-  bool crTransactional(int C) const;
 
   //===--------------------------------------------------------------------===
   // Well-formedness and utilities.

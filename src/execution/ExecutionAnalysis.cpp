@@ -4,6 +4,32 @@
 
 using namespace tmw;
 
+namespace {
+
+/// The equivalence a per-event class labelling induces on the classes
+/// \p Keep admits: A ~ B iff Class[A] == Class[B] != kNoClass. Reflexive
+/// on the admitted classes' members, empty elsewhere (§3.1 stxn, §8.3 scr).
+template <typename KeepFn>
+Relation classEquivalence(unsigned N, const std::array<int, kMaxEvents> &Class,
+                          KeepFn &&Keep) {
+  Relation R(N);
+  for (unsigned A = 0; A < N; ++A) {
+    if (Class[A] == kNoClass || !Keep(Class[A]))
+      continue;
+    for (unsigned B = 0; B < N; ++B)
+      if (Class[B] == Class[A])
+        R.insert(A, B);
+  }
+  return R;
+}
+
+/// The events of \p X whose label satisfies the `Event` predicate \p P.
+EventSet labelled(const Execution &X, bool (Event::*P)() const) {
+  return X.eventsWhere([&](EventId E) { return (X.event(E).*P)(); });
+}
+
+} // namespace
+
 //===----------------------------------------------------------------------===
 // Event sets.
 //===----------------------------------------------------------------------===
@@ -17,7 +43,8 @@ EventSet ExecutionAnalysis::writes() const {
 }
 
 EventSet ExecutionAnalysis::fences() const {
-  return memo(C.Fences, StructGen, [&] { return X->fences(); });
+  return memo(C.Fences, StructGen,
+              [&] { return X->ofKind(EventKind::Fence); });
 }
 
 EventSet ExecutionAnalysis::accesses() const {
@@ -25,24 +52,31 @@ EventSet ExecutionAnalysis::accesses() const {
 }
 
 EventSet ExecutionAnalysis::fences(FenceKind K) const {
-  return memo(C.FencesOf[static_cast<unsigned>(K)], StructGen,
-              [&] { return X->fences(K); });
+  return memo(C.FencesOf[static_cast<unsigned>(K)], StructGen, [&] {
+    return X->eventsWhere([&](EventId E) {
+      return X->event(E).isFence() && X->event(E).Fence == K;
+    });
+  });
 }
 
 EventSet ExecutionAnalysis::atomics() const {
-  return memo(C.Atomics, StructGen, [&] { return X->atomics(); });
+  return memo(C.Atomics, StructGen,
+              [&] { return labelled(*X, &Event::isAtomic); });
 }
 
 EventSet ExecutionAnalysis::acquires() const {
-  return memo(C.Acquires, StructGen, [&] { return X->acquires(); });
+  return memo(C.Acquires, StructGen,
+              [&] { return labelled(*X, &Event::isAcquire); });
 }
 
 EventSet ExecutionAnalysis::releases() const {
-  return memo(C.Releases, StructGen, [&] { return X->releases(); });
+  return memo(C.Releases, StructGen,
+              [&] { return labelled(*X, &Event::isRelease); });
 }
 
 EventSet ExecutionAnalysis::seqCst() const {
-  return memo(C.SeqCst, StructGen, [&] { return X->seqCst(); });
+  return memo(C.SeqCst, StructGen,
+              [&] { return labelled(*X, &Event::isSeqCst); });
 }
 
 EventSet ExecutionAnalysis::transactional() const {
@@ -50,13 +84,16 @@ EventSet ExecutionAnalysis::transactional() const {
 }
 
 EventSet ExecutionAnalysis::atomicTransactional() const {
-  return memo(C.AtomicTransactional, TxnGen,
-              [&] { return X->atomicTransactional(); });
+  return memo(C.AtomicTransactional, TxnGen, [&] {
+    return X->eventsWhere([&](EventId E) {
+      return X->Txn[E] != kNoClass && ((X->AtomicTxns >> X->Txn[E]) & 1);
+    });
+  });
 }
 
 //===----------------------------------------------------------------------===
-// Derived relations. Definitions mirror Execution's uncached methods but
-// are built from already-memoized sub-terms wherever possible.
+// Derived relations (§2.1, §3.1, §3.3, §8.3), each built from already
+// memoized sub-terms wherever possible.
 //===----------------------------------------------------------------------===
 
 const Relation &ExecutionAnalysis::sloc() const {
@@ -64,7 +101,16 @@ const Relation &ExecutionAnalysis::sloc() const {
 }
 
 const Relation &ExecutionAnalysis::sameThread() const {
-  return memo(C.SameThread, StructGen, [&] { return X->sameThread(); });
+  // (po ∪ po^-1)^*: every pair of events of one thread, identity included.
+  return memo(C.SameThread, StructGen, [&] {
+    unsigned N = X->size();
+    Relation R(N);
+    for (unsigned A = 0; A < N; ++A)
+      for (unsigned B = 0; B < N; ++B)
+        if (X->event(A).Thread == X->event(B).Thread)
+          R.insert(A, B);
+    return R;
+  });
 }
 
 const Relation &ExecutionAnalysis::poLoc() const {
@@ -76,6 +122,9 @@ const Relation &ExecutionAnalysis::poImm() const {
 }
 
 const Relation &ExecutionAnalysis::fr() const {
+  // fr = ([R] ; sloc ; [W]) \ (rf^-1 ; (co^-1)^*). A read with no rf
+  // source reads the initial value and is fr-before every write to its
+  // location.
   return memo(C.Fr, StructGen, [&] {
     Relation ReadsToWrites = sloc().restrictDomain(reads()).restrictRange(
         writes());
@@ -118,14 +167,21 @@ const Relation &ExecutionAnalysis::fri() const {
 }
 
 const Relation &ExecutionAnalysis::stxn() const {
-  return memo(C.Stxn, TxnGen, [&] { return X->stxn(); });
+  return memo(C.Stxn, TxnGen, [&] {
+    return classEquivalence(X->size(), X->Txn, [](int) { return true; });
+  });
 }
 
 const Relation &ExecutionAnalysis::stxnAtomic() const {
-  return memo(C.StxnAtomic, TxnGen, [&] { return X->stxnAtomic(); });
+  return memo(C.StxnAtomic, TxnGen, [&] {
+    return classEquivalence(X->size(), X->Txn,
+                            [&](int T) { return (X->AtomicTxns >> T) & 1; });
+  });
 }
 
 const Relation &ExecutionAnalysis::tfence() const {
+  // po ∩ ((¬stxn ; stxn) ∪ (stxn ; ¬stxn)): po edges entering or leaving a
+  // transaction.
   return memo(C.Tfence, TxnGen, [&] {
     const Relation &S = stxn();
     Relation NotS = S.complement();
@@ -134,11 +190,22 @@ const Relation &ExecutionAnalysis::tfence() const {
 }
 
 const Relation &ExecutionAnalysis::scr() const {
-  return memo(C.Scr, StructGen, [&] { return X->scr(); });
+  return memo(C.Scr, StructGen, [&] {
+    return classEquivalence(X->size(), X->Cr, [](int) { return true; });
+  });
 }
 
 const Relation &ExecutionAnalysis::scrt() const {
-  return memo(C.Scrt, StructGen, [&] { return X->scrt(); });
+  // `scr` restricted to the regions a TxLock opens (the elided ones).
+  return memo(C.Scrt, StructGen, [&] {
+    EventSet TxLocks = X->ofKind(EventKind::TxLock);
+    return classEquivalence(X->size(), X->Cr, [&](int Cr) {
+      for (EventId E : TxLocks)
+        if (X->Cr[E] == Cr)
+          return true;
+      return false;
+    });
+  });
 }
 
 const Relation &ExecutionAnalysis::fenceRel(FenceKind K) const {

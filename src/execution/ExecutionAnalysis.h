@@ -23,10 +23,16 @@
 ///    cache under `const`. The sharded enumerator gives each shard its own
 ///    analysis arena instead of sharing one.
 ///
-/// `AnalysisCaching::Recompute` disables memoization (every accessor
-/// re-derives, exactly like the historical uncached `Execution` methods);
-/// it exists for the cached-vs-uncached benchmarks and the cross-check
-/// tests.
+/// This class is the only place a derived term is defined: `Execution`
+/// holds the graph (stored relations, class labellings, and the few event
+/// sets and `sloc` that building and validating a graph needs), and every
+/// other term of the axioms is computed here, from the graph and from
+/// other memoized terms.
+///
+/// `AnalysisCaching::Recompute` disables memoization: every accessor
+/// re-derives from scratch. It is the ground truth that memoization cannot
+/// mask, used by the contract audit (src/audit/) and by the cross-check
+/// and per-pair oracle tests (tests/analysis_test.cpp).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,7 +53,8 @@ inline constexpr unsigned kNumFenceKinds =
 enum class AnalysisCaching : uint8_t {
   /// Compute each derived term at most once (the default).
   Memoized,
-  /// Re-derive on every access — the uncached baseline behaviour.
+  /// Re-derive on every access: the reference the caches are checked
+  /// against.
   Recompute,
 };
 
@@ -97,7 +104,7 @@ public:
 
   /// Number of derived-term computations performed so far (a memoized
   /// accessor hit increments this only on its first call). Used by the
-  /// memoization unit tests and the bench reports.
+  /// memoization unit tests.
   uint64_t recomputeCount() const { return Recomputes; }
 
   //===--------------------------------------------------------------------===

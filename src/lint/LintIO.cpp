@@ -4,20 +4,9 @@
 
 #include "query/Json.h"
 
-#include <cinttypes>
-#include <cstdio>
-
 using namespace tmw;
 
 namespace {
-
-void appendUint(std::string &Out, uint64_t V) {
-  char Buf[24];
-  std::snprintf(Buf, sizeof(Buf), "%" PRIu64, V);
-  Out += Buf;
-}
-
-void appendBool(std::string &Out, bool B) { Out += B ? "true" : "false"; }
 
 void appendFinding(std::string &Out, const LintFinding &F) {
   Out += "{\"severity\": ";
@@ -31,21 +20,21 @@ void appendFinding(std::string &Out, const LintFinding &F) {
   Out += ", \"instruction\": ";
   Out += std::to_string(F.Instruction);
   Out += ", \"line\": ";
-  appendUint(Out, F.Line);
+  jsonAppendUint(Out, F.Line);
   Out += '}';
 }
 
 void appendFacts(std::string &Out, const ProgramFacts &F) {
   Out += "{\"txn_free\": ";
-  appendBool(Out, F.TxnFree);
+  jsonAppendBool(Out, F.TxnFree);
   Out += ", \"rmw_free\": ";
-  appendBool(Out, F.RmwFree);
+  jsonAppendBool(Out, F.RmwFree);
   Out += ", \"lock_region_free\": ";
-  appendBool(Out, F.LockRegionFree);
+  jsonAppendBool(Out, F.LockRegionFree);
   Out += ", \"single_location\": ";
-  appendBool(Out, F.SingleLocation);
+  jsonAppendBool(Out, F.SingleLocation);
   Out += ", \"atomic_only\": ";
-  appendBool(Out, F.AtomicOnly);
+  jsonAppendBool(Out, F.AtomicOnly);
   Out += ", \"fence_kinds\": [";
   bool First = true;
   for (unsigned K = 1; K <= static_cast<unsigned>(FenceKind::CppFence);
@@ -58,7 +47,7 @@ void appendFacts(std::string &Out, const ProgramFacts &F) {
     jsonAppendString(Out, fenceKindName(static_cast<FenceKind>(K)));
   }
   Out += "], \"vocabulary\": ";
-  appendUint(Out, F.Vocabulary);
+  jsonAppendUint(Out, F.Vocabulary);
   Out += '}';
 }
 
@@ -83,9 +72,9 @@ std::string tmw::lintReportToJson(std::span<const LintedProgram> Programs) {
     Out += "{\"name\": ";
     jsonAppendString(Out, LP.Name);
     Out += ", \"errors\": ";
-    appendUint(Out, ProgErrors);
+    jsonAppendUint(Out, ProgErrors);
     Out += ", \"warnings\": ";
-    appendUint(Out, ProgWarnings);
+    jsonAppendUint(Out, ProgWarnings);
     Out += ", \"facts\": ";
     appendFacts(Out, LP.Facts);
     Out += ", \"findings\": [";
@@ -99,11 +88,11 @@ std::string tmw::lintReportToJson(std::span<const LintedProgram> Programs) {
     Out += "]}";
   }
   Out += "], \"errors\": ";
-  appendUint(Out, Errors);
+  jsonAppendUint(Out, Errors);
   Out += ", \"warnings\": ";
-  appendUint(Out, Warnings);
+  jsonAppendUint(Out, Warnings);
   Out += ", \"clean\": ";
-  appendBool(Out, Errors == 0 && Warnings == 0);
+  jsonAppendBool(Out, Errors == 0 && Warnings == 0);
   Out += "}\n";
   return Out;
 }

@@ -12,7 +12,7 @@ std::vector<Execution> tmw::txnAugmentations(const Execution &X,
                                              const Vocabulary &V) {
   std::vector<Execution> Out;
   unsigned NumTxns = X.numTxns();
-  Relation PoImm = X.poImm();
+  Relation PoImm = X.Po - X.Po.compose(X.Po); // immediate po
 
   // Membership lists per class, in po order.
   auto MembersOf = [&](int C) {

@@ -44,6 +44,16 @@ void tmw::jsonAppendString(std::string &Out, std::string_view S) {
   Out += '"';
 }
 
+void tmw::jsonAppendUint(std::string &Out, uint64_t V) {
+  char Buf[24];
+  std::snprintf(Buf, sizeof(Buf), "%" PRIu64, V);
+  Out += Buf;
+}
+
+void tmw::jsonAppendBool(std::string &Out, bool B) {
+  Out += B ? "true" : "false";
+}
+
 std::string tmw::jsonQuote(std::string_view S) {
   std::string Out;
   Out.reserve(S.size() + 2);

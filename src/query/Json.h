@@ -31,6 +31,12 @@ namespace tmw {
 /// escaping quotes, backslashes, and control characters.
 void jsonAppendString(std::string &Out, std::string_view S);
 
+/// Append \p V to \p Out as a JSON integer (plain decimal digits).
+void jsonAppendUint(std::string &Out, uint64_t V);
+
+/// Append \p B to \p Out as a JSON `true`/`false`.
+void jsonAppendBool(std::string &Out, bool B);
+
 /// Render \p S as a JSON string literal.
 std::string jsonQuote(std::string_view S);
 

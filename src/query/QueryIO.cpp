@@ -11,12 +11,6 @@ using namespace tmw;
 
 namespace {
 
-void appendUint(std::string &Out, uint64_t V) {
-  char Buf[24];
-  std::snprintf(Buf, sizeof(Buf), "%" PRIu64, V);
-  Out += Buf;
-}
-
 void appendInt(std::string &Out, int64_t V) {
   char Buf[24];
   std::snprintf(Buf, sizeof(Buf), "%" PRId64, V);
@@ -37,9 +31,9 @@ void appendOutcome(std::string &Out, const Outcome &O) {
       Out += ", ";
     First = false;
     Out += '[';
-    appendUint(Out, T);
+    jsonAppendUint(Out, T);
     Out += ", ";
-    appendUint(Out, L);
+    jsonAppendUint(Out, L);
     Out += ", ";
     appendInt(Out, V);
     Out += ']';
@@ -59,9 +53,9 @@ void appendVerdict(std::string &Out, const ModelVerdict &V) {
   Out += "{\"spec\": ";
   jsonAppendString(Out, V.Spec);
   Out += ", \"allowed\": ";
-  Out += V.Allowed ? "true" : "false";
+  jsonAppendBool(Out, V.Allowed);
   Out += ", \"consistent\": ";
-  appendUint(Out, V.Consistent);
+  jsonAppendUint(Out, V.Consistent);
   Out += ", \"first_forbidden\": ";
   appendInt(Out, V.FirstForbidden);
   Out += ", \"failed_axioms\": [";
@@ -78,7 +72,7 @@ void appendVerdict(std::string &Out, const ModelVerdict &V) {
       if (!FirstW)
         Out += ", ";
       FirstW = false;
-      appendUint(Out, E);
+      jsonAppendUint(Out, E);
     }
     Out += "]}";
   }
@@ -214,11 +208,11 @@ std::string tmw::toJson(const CheckRequest &R) {
     jsonAppendString(Out, Spec);
   }
   Out += "], \"explain\": ";
-  Out += R.Explain ? "true" : "false";
+  jsonAppendBool(Out, R.Explain);
   Out += ", \"outcomes\": ";
-  Out += R.WantOutcomes ? "true" : "false";
+  jsonAppendBool(Out, R.WantOutcomes);
   Out += ", \"candidate_cap\": ";
-  appendUint(Out, R.CandidateCap);
+  jsonAppendUint(Out, R.CandidateCap);
   Out += '}';
   return Out;
 }
@@ -229,11 +223,11 @@ std::string tmw::toJson(const CheckResponse &R, bool IncludeTiming) {
   Out += ", \"error\": ";
   jsonAppendString(Out, R.Error);
   Out += ", \"error_line\": ";
-  appendUint(Out, R.ErrorLine);
+  jsonAppendUint(Out, R.ErrorLine);
   Out += ", \"candidates\": ";
-  appendUint(Out, R.Candidates);
+  jsonAppendUint(Out, R.Candidates);
   Out += ", \"truncated\": ";
-  Out += R.Truncated ? "true" : "false";
+  jsonAppendBool(Out, R.Truncated);
   Out += ", \"verdicts\": [";
   bool First = true;
   for (const ModelVerdict &V : R.Verdicts) {
@@ -298,38 +292,38 @@ std::string tmw::responsesToJson(std::span<const CheckResponse> Responses,
     Out += ",\n \"telemetry\": {\"seconds\": ";
     appendSeconds(Out, Telemetry->Seconds);
     Out += ", \"programs\": ";
-    appendUint(Out, Telemetry->Programs);
+    jsonAppendUint(Out, Telemetry->Programs);
     Out += ", \"candidates\": ";
-    appendUint(Out, Telemetry->Candidates);
+    jsonAppendUint(Out, Telemetry->Candidates);
     Out += ", \"checks\": ";
-    appendUint(Out, Telemetry->Checks);
+    jsonAppendUint(Out, Telemetry->Checks);
     // Cross-spec plan accounting (zeros under independent evaluation);
     // telemetry-only, so the canonical responses stay byte-identical
     // across strategies.
     Out += ", \"plan\": {\"term_evals\": ";
-    appendUint(Out, Telemetry->Plan.TermEvals);
+    jsonAppendUint(Out, Telemetry->Plan.TermEvals);
     Out += ", \"term_hits\": ";
-    appendUint(Out, Telemetry->Plan.TermHits);
+    jsonAppendUint(Out, Telemetry->Plan.TermHits);
     Out += ", \"spec_evals\": ";
-    appendUint(Out, Telemetry->Plan.SpecEvals);
+    jsonAppendUint(Out, Telemetry->Plan.SpecEvals);
     Out += ", \"spec_short_circuits\": ";
-    appendUint(Out, Telemetry->Plan.SpecShortCircuits);
+    jsonAppendUint(Out, Telemetry->Plan.SpecShortCircuits);
     Out += ", \"discharged\": ";
-    appendUint(Out, Telemetry->Plan.Discharged);
+    jsonAppendUint(Out, Telemetry->Plan.Discharged);
     Out += ", \"compiles\": ";
-    appendUint(Out, Telemetry->Plan.Compiles);
+    jsonAppendUint(Out, Telemetry->Plan.Compiles);
     Out += ", \"cache_hits\": ";
-    appendUint(Out, Telemetry->Plan.CacheHits);
+    jsonAppendUint(Out, Telemetry->Plan.CacheHits);
     Out += '}';
     // Persistent verdict-store traffic (zeros without a --store); like
     // the plan block, telemetry-only so the canonical responses stay
     // byte-identical with and without a store.
     Out += ", \"store\": {\"lookups\": ";
-    appendUint(Out, Telemetry->Store.Lookups);
+    jsonAppendUint(Out, Telemetry->Store.Lookups);
     Out += ", \"hits\": ";
-    appendUint(Out, Telemetry->Store.Hits);
+    jsonAppendUint(Out, Telemetry->Store.Hits);
     Out += ", \"appends\": ";
-    appendUint(Out, Telemetry->Store.Appends);
+    jsonAppendUint(Out, Telemetry->Store.Appends);
     Out += '}';
     Out += ", \"workers\": [";
     bool First = true;
@@ -340,11 +334,11 @@ std::string tmw::responsesToJson(std::span<const CheckResponse> Responses,
       Out += "{\"busy_seconds\": ";
       appendSeconds(Out, L.BusySeconds);
       Out += ", \"tasks\": ";
-      appendUint(Out, L.Tasks);
+      jsonAppendUint(Out, L.Tasks);
       Out += ", \"steals\": ";
-      appendUint(Out, L.Steals);
+      jsonAppendUint(Out, L.Steals);
       Out += ", \"candidates\": ";
-      appendUint(Out, L.BasesVisited);
+      jsonAppendUint(Out, L.BasesVisited);
       Out += '}';
     }
     Out += "]}";

@@ -38,6 +38,8 @@ std::shared_ptr<const ParseResult> SessionCache::program(
     ParsedFacts = computeFacts(Parsed->Prog);
   if (Facts)
     *Facts = ParsedFacts;
+  if (MaxPrograms == 0)
+    return Parsed; // a zero bound stores nothing (see SessionCache.h)
   std::lock_guard<std::mutex> Lock(Mu);
   if (Programs.size() >= MaxPrograms) {
     // Evict only the least-recently-touched half (wholesale dropping all

@@ -24,7 +24,10 @@
 /// replaces the original wholesale drop, which re-parsed the *entire*
 /// resident working set on the next batch — a thundering re-parse spike
 /// under the multiplexer when many rival clients share the one cache.
-/// The model cache is tiny (spec strings) and unbounded.
+/// A bound of 0 caches no programs at all: every lookup is a miss that
+/// parses afresh and nothing is stored (`ServerOptions::MaxCachedPrograms`
+/// passes the bound through unchanged). The model cache is tiny (spec
+/// strings) and unbounded.
 ///
 /// Thread-safe: one mutex guards the maps; lookups are cheap next to
 /// enumeration, so the lock is uncontended in practice. Parses and model

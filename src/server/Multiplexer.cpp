@@ -229,8 +229,7 @@ struct ConnectionMultiplexer::Impl {
                                      BatchTelemetry &&Tele) {
           MB->post({ConnId, Seq,
                     responsesToJson(Responses, Telemetry ? &Tele : nullptr)});
-        },
-        /*FairnessCap=*/Server.jobs());
+        });
     // Empty batches (id 0) completed inline — their doc is already in
     // the mailbox; nothing to cancel later either way.
     if (BatchId != 0)

@@ -27,10 +27,10 @@
 ///    batch arrival order (out-of-order completions wait their turn). So
 ///    every connection's byte stream is exactly what one-shot
 ///    `litmus_tool --json` would produce for its batches, regardless of
-///    how many rivals are connected. Each batch is submitted with a
-///    fairness cap of the server's `jobs()` (`QueryServer::submitBatch`),
-///    so one client's corpus-sized batch cannot seed more pool tasks than
-///    there are workers and starve the rest.
+///    how many rivals are connected. The server seeds every batch with a
+///    window of `jobs()` requests (`QueryServer::submitBatch`), so one
+///    client's corpus-sized batch cannot seed more pool tasks than there
+///    are workers and starve the rest.
 ///
 ///  * **Backpressure.** Output is buffered per connection and written as
 ///    the socket drains. A slow reader whose pending output exceeds

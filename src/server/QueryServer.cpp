@@ -21,14 +21,12 @@ public:
   ServerBatch(uint64_t Id, std::vector<CheckRequest> Owned,
               std::span<const CheckRequest> Requests, unsigned NumWorkers,
               SessionCache *Cache, VerdictStore *Store,
-              QueryServer::BatchDone OnDone, unsigned FairnessCap)
+              QueryServer::BatchDone OnDone)
       : Id(Id), Owned(std::move(Owned)), Requests(Requests),
         Run(Requests, NumWorkers, {.Cache = Cache, .Store = Store}),
         OnDone(std::move(OnDone)),
         Outstanding(Requests.size()),
-        NextToSeed(FairnessCap == 0 ? Requests.size()
-                                    : std::min<size_t>(FairnessCap,
-                                                       Requests.size())) {}
+        NextToSeed(std::min<size_t>(NumWorkers, Requests.size())) {}
 
   const uint64_t Id;
   std::vector<CheckRequest> Owned; ///< storage when the batch owns its requests
@@ -41,8 +39,8 @@ public:
   /// Tasks not yet fully retired; the worker that drops it to zero owns
   /// completion (and may delete the batch).
   std::atomic<size_t> Outstanding;
-  /// Next request index to feed the pool (fairness-cap incremental
-  /// seeding: at most the initial window is in the pool at once, each
+  /// Next request index to feed the pool (incremental seeding: at most a
+  /// window of one request per worker is in the pool at once, each
   /// retiring task feeds one more).
   std::atomic<size_t> NextToSeed;
 
@@ -79,7 +77,7 @@ void QueryServer::workerMain(unsigned Worker) {
     ServerBatch *B = T.Batch;
     B->Run.runOne(T.Index, Worker, Arenas[Worker], Stolen,
                   B->Cancelled.load(std::memory_order_relaxed));
-    // Feed the next request of this batch under its fairness window.
+    // Feed the next request of this batch under its seeding window.
     size_t Next = B->NextToSeed.fetch_add(1, std::memory_order_relaxed);
     if (Next < B->Requests.size())
       Pool.submit({B, Next});
@@ -106,7 +104,7 @@ void QueryServer::workerMain(unsigned Worker) {
 
 uint64_t QueryServer::submitSpan(std::span<const CheckRequest> Requests,
                                  std::vector<CheckRequest> Owned,
-                                 BatchDone OnDone, unsigned FairnessCap) {
+                                 BatchDone OnDone) {
   size_t N = Requests.size();
   if (N == 0) {
     // Nothing to schedule: complete inline on the submitting thread.
@@ -125,13 +123,15 @@ uint64_t QueryServer::submitSpan(std::span<const CheckRequest> Requests,
     Id = ++NextBatchId;
     auto Batch = std::make_unique<ServerBatch>(
         Id, std::move(Owned), Requests, Opts.Jobs, &Cache, Opts.Store,
-        std::move(OnDone), FairnessCap);
+        std::move(OnDone));
     B = Batch.get();
     Active.emplace(Id, std::move(Batch));
     ++S.Batches;
     S.Requests += N;
   }
-  // Seed the initial fairness window; each retiring task feeds one more.
+  // Seed the initial window of jobs() requests; each retiring task feeds
+  // one more, so no batch holds more than one task per worker in the pool
+  // and rival batches interleave.
   // After the last submit below the batch may complete (and be deleted)
   // at any moment, so B is not touched past this loop.
   size_t Window = B->initialWindow();
@@ -141,10 +141,10 @@ uint64_t QueryServer::submitSpan(std::span<const CheckRequest> Requests,
 }
 
 uint64_t QueryServer::submitBatch(std::vector<CheckRequest> Requests,
-                                  BatchDone OnDone, unsigned FairnessCap) {
+                                  BatchDone OnDone) {
   std::vector<CheckRequest> Owned = std::move(Requests);
   std::span<const CheckRequest> Span(Owned);
-  return submitSpan(Span, std::move(Owned), std::move(OnDone), FairnessCap);
+  return submitSpan(Span, std::move(Owned), std::move(OnDone));
 }
 
 void QueryServer::cancelBatch(uint64_t BatchId) {
@@ -185,8 +185,7 @@ QueryServer::runBatch(std::span<const CheckRequest> Requests,
         // reacquiring DoneMu — which this worker still holds until the
         // notify has fully finished touching the cv.
         DoneCv.notify_one();
-      },
-      /*FairnessCap=*/0);
+      });
   {
     std::unique_lock<std::mutex> Lock(DoneMu);
     DoneCv.wait(Lock, [&] { return Done; });

@@ -143,12 +143,12 @@ public:
 
   /// Submit \p Requests for concurrent evaluation and return immediately
   /// with a nonzero batch id (0 for an empty batch, completed inline).
-  /// \p FairnessCap bounds how many of this batch's requests may occupy
-  /// pool workers at once (0 = no cap): with N clients each capped at
-  /// jobs/N-ish, one client's corpus-sized batch cannot starve the rest.
-  /// The requests are copied; for large resident callers prefer moving.
-  uint64_t submitBatch(std::vector<CheckRequest> Requests, BatchDone OnDone,
-                       unsigned FairnessCap = 0);
+  /// Every batch, serial or concurrent, seeds a window of `jobs()`
+  /// requests and feeds one more as each retires, so no batch has more
+  /// than `jobs()` tasks in the pool and one client's corpus-sized batch
+  /// cannot starve its rivals. The requests are copied; for large
+  /// resident callers prefer moving.
+  uint64_t submitBatch(std::vector<CheckRequest> Requests, BatchDone OnDone);
 
   /// Best-effort cancel of an in-flight batch (client gone): requests
   /// not yet started are skipped, in-progress ones finish. The batch
@@ -170,8 +170,7 @@ public:
 private:
   void workerMain(unsigned Worker);
   uint64_t submitSpan(std::span<const CheckRequest> Requests,
-                      std::vector<CheckRequest> Owned, BatchDone OnDone,
-                      unsigned FairnessCap);
+                      std::vector<CheckRequest> Owned, BatchDone OnDone);
 
   ServerOptions Opts;
   SessionCache Cache;

@@ -26,25 +26,26 @@ Execution scMp() {
 
 TEST(CompileTest, X86InsertsMfenceAfterScStore) {
   Execution Y = compileExecution(scMp(), Arch::X86);
-  EXPECT_EQ(Y.fences(FenceKind::MFence).size(), 1u);
+  EXPECT_EQ(ExecutionAnalysis(Y).fences(FenceKind::MFence).size(), 1u);
   EXPECT_EQ(Y.checkWellFormed(), nullptr);
   // The fence sits po-after the store to y on thread 0.
-  EventId F = *Y.fences(FenceKind::MFence).begin();
+  EventId F = *ExecutionAnalysis(Y).fences(FenceKind::MFence).begin();
   EXPECT_EQ(Y.event(F).Thread, 0u);
 }
 
 TEST(CompileTest, PowerMapping) {
   Execution Y = compileExecution(scMp(), Arch::Power);
   // SC store: sync before. SC load: sync before + ctrl-isync after.
-  EXPECT_EQ(Y.fences(FenceKind::Sync).size(), 2u);
-  EXPECT_EQ(Y.fences(FenceKind::ISync).size(), 1u);
+  EXPECT_EQ(ExecutionAnalysis(Y).fences(FenceKind::Sync).size(), 2u);
+  EXPECT_EQ(ExecutionAnalysis(Y).fences(FenceKind::ISync).size(), 1u);
   EXPECT_FALSE(Y.Ctrl.isEmpty());
   EXPECT_EQ(Y.checkWellFormed(), nullptr);
 }
 
 TEST(CompileTest, Armv8UsesAcquireReleaseAccesses) {
   Execution Y = compileExecution(scMp(), Arch::Armv8);
-  EXPECT_TRUE(Y.fences().empty()); // LDAR/STLR, no barriers
+  // LDAR/STLR, no barriers.
+  EXPECT_TRUE(ExecutionAnalysis(Y).fences().empty());
   unsigned Acq = 0, Rel = 0;
   for (unsigned E = 0; E < Y.size(); ++E) {
     Acq += Y.event(E).isRead() && Y.event(E).isAcquire();
@@ -62,7 +63,7 @@ TEST(CompileTest, RelaxedFencesDropOnX86) {
   B.rf(W, R);
   B.read(1, 0, MemOrder::Relaxed);
   Execution Y = compileExecution(B.build(), Arch::X86);
-  EXPECT_TRUE(Y.fences().empty());
+  EXPECT_TRUE(ExecutionAnalysis(Y).fences().empty());
   EXPECT_EQ(Y.size(), 3u);
 }
 

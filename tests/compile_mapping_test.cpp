@@ -36,23 +36,24 @@ Execution single(EventKind K, MemOrder MO) {
 }
 
 unsigned countFences(const Execution &X, FenceKind K) {
-  return X.fences(K).size();
+  return ExecutionAnalysis(X).fences(K).size();
 }
 
 TEST(CompileRuleTest, X86RelaxedAccessesAreBare) {
   Execution Y = compileExecution(single(EventKind::Read, MemOrder::Relaxed),
                                  Arch::X86);
-  EXPECT_TRUE(Y.fences().empty());
+  EXPECT_TRUE(ExecutionAnalysis(Y).fences().empty());
   Y = compileExecution(single(EventKind::Write, MemOrder::Release),
                        Arch::X86);
-  EXPECT_TRUE(Y.fences().empty()); // release is free on TSO
+  // Release is free on TSO.
+  EXPECT_TRUE(ExecutionAnalysis(Y).fences().empty());
 }
 
 TEST(CompileRuleTest, X86ScStoreGetsTrailingMfence) {
   Execution Y = compileExecution(single(EventKind::Write, MemOrder::SeqCst),
                                  Arch::X86);
   ASSERT_EQ(countFences(Y, FenceKind::MFence), 1u);
-  EventId F = *Y.fences(FenceKind::MFence).begin();
+  EventId F = *ExecutionAnalysis(Y).fences(FenceKind::MFence).begin();
   // The fence follows the store in program order.
   EXPECT_FALSE(
       Y.Po.restrictRange(EventSet::singleton(F)).domain().empty());
@@ -61,7 +62,7 @@ TEST(CompileRuleTest, X86ScStoreGetsTrailingMfence) {
 TEST(CompileRuleTest, X86ScLoadIsBare) {
   Execution Y = compileExecution(single(EventKind::Read, MemOrder::SeqCst),
                                  Arch::X86);
-  EXPECT_TRUE(Y.fences().empty());
+  EXPECT_TRUE(ExecutionAnalysis(Y).fences().empty());
 }
 
 TEST(CompileRuleTest, PowerAcquireLoadGetsCtrlIsync) {
@@ -92,13 +93,13 @@ TEST(CompileRuleTest, PowerReleaseStoreGetsLwsync) {
 TEST(CompileRuleTest, Armv8UsesAnnotationsNotFences) {
   Execution Y = compileExecution(
       single(EventKind::Read, MemOrder::Acquire), Arch::Armv8);
-  EXPECT_TRUE(Y.fences().empty());
-  EXPECT_EQ((Y.acquires() & Y.reads()).size(), 1u);
+  EXPECT_TRUE(ExecutionAnalysis(Y).fences().empty());
+  EXPECT_EQ((ExecutionAnalysis(Y).acquires() & Y.reads()).size(), 1u);
 
   Y = compileExecution(single(EventKind::Write, MemOrder::SeqCst),
                        Arch::Armv8);
-  EXPECT_TRUE(Y.fences().empty());
-  EXPECT_EQ((Y.releases() & Y.writes()).size(), 1u);
+  EXPECT_TRUE(ExecutionAnalysis(Y).fences().empty());
+  EXPECT_EQ((ExecutionAnalysis(Y).releases() & Y.writes()).size(), 1u);
 }
 
 TEST(CompileRuleTest, CppFencesMapPerTarget) {

@@ -43,7 +43,8 @@ TEST_P(TheoremSweep, Theorem72StrongIsolationForAtomicTransactions) {
   sweepCpp(GetParam(), [&](const Execution &X) {
     if (!M.consistent(X) || !M.raceFree(X))
       return;
-    if (!(X.atomicTransactional() & X.atomics()).empty())
+    ExecutionAnalysis A(X);
+    if (!(A.atomicTransactional() & A.atomics()).empty())
       return; // atomic transactions must contain no atomics
     ++Considered;
     EXPECT_TRUE(holdsStrongIsolationAtomic(X)) << X.dump();
@@ -60,10 +61,11 @@ TEST_P(TheoremSweep, Theorem73TransactionalScDrf) {
     if (!M.consistent(X) || !M.raceFree(X))
       return;
     // No relaxed transactions: stxn = stxnat.
-    if (!(X.stxn() == X.stxnAtomic()))
+    ExecutionAnalysis A(X);
+    if (!(A.stxn() == A.stxnAtomic()))
       return;
     // No non-SC atomics: Ato = SC.
-    if (!(X.atomics() - X.seqCst()).empty())
+    if (!(A.atomics() - A.seqCst()).empty())
       return;
     ++Considered;
     EXPECT_TRUE(Tsc.consistent(X)) << X.dump();
@@ -85,7 +87,7 @@ TEST_P(TheoremSweep, CnfEqualsEcomUnionInverse) {
   // §7.2 [lemma]: cnf = ecom u ecom^-1 on well-formed executions.
   CppModel M;
   sweepCpp(GetParam(), [&](const Execution &X) {
-    Relation Ecom = X.ecom();
+    Relation Ecom = ExecutionAnalysis(X).ecom();
     Relation Sym = Ecom | Ecom.inverse();
     Relation Cnf = M.conflicts(X);
     // Every conflicting pair is ecom-related one way or the other.
@@ -102,7 +104,7 @@ TEST_P(TheoremSweep, SeqCstImpliesScForTransactionFree) {
   sweepCpp(GetParam(), [&](const Execution &X) {
     if (!X.transactional().empty())
       return;
-    if (!(X.universe() - X.seqCst()).empty())
+    if (!(X.universe() - ExecutionAnalysis(X).seqCst()).empty())
       return;
     if (M.consistent(X)) {
       EXPECT_TRUE(Sc.consistent(X)) << X.dump();

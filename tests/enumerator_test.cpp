@@ -77,7 +77,7 @@ TEST(EnumeratorTest, FencesAreInterior) {
   Vocabulary V = Vocabulary::forArch(Arch::Power);
   ExecutionEnumerator E(V, 3);
   E.forEachBase([&](Execution &X) {
-    for (EventId F : X.fences()) {
+    for (EventId F : ExecutionAnalysis(X).fences()) {
       EXPECT_FALSE(
           X.Po.restrictRange(EventSet::singleton(F)).domain().empty());
       EXPECT_FALSE(X.Po.successors(F).empty());

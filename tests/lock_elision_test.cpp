@@ -52,7 +52,7 @@ TEST(ElideTest, Armv8MappingShape) {
 TEST(ElideTest, FixedMappingAddsDmb) {
   Execution Y = elideLocks(shapes::lockElisionAbstract(), Arch::Armv8, true);
   EXPECT_EQ(Y.size(), 8u);
-  EXPECT_EQ(Y.fences(FenceKind::Dmb).size(), 1u);
+  EXPECT_EQ(ExecutionAnalysis(Y).fences(FenceKind::Dmb).size(), 1u);
 }
 
 TEST(ElideTest, X86MappingShape) {
@@ -69,8 +69,8 @@ TEST(ElideTest, PowerMappingShape) {
   // (1), body 1, Ut -> nothing: 9 events — exactly the bound the paper
   // uses for its Power lock-elision query (Table 2).
   EXPECT_EQ(Y.size(), 9u);
-  EXPECT_EQ(Y.fences(FenceKind::ISync).size(), 1u);
-  EXPECT_EQ(Y.fences(FenceKind::Sync).size(), 1u);
+  EXPECT_EQ(ExecutionAnalysis(Y).fences(FenceKind::ISync).size(), 1u);
+  EXPECT_EQ(ExecutionAnalysis(Y).fences(FenceKind::Sync).size(), 1u);
 }
 
 TEST(ElideTest, CompletionsRespectLockProtocol) {

@@ -71,9 +71,10 @@ TEST_P(HierarchySweep, TscIsAnUpperBoundForEveryTmModel) {
     // intruded-upon or boundary-straddling exclusive pair simply never
     // succeeds on hardware, and Fig. 4's TSC has no axiom about either —
     // such executions sit outside the upper-bound claim.
-    if (!(X.Rmw & X.tfence().transitiveClosure()).isEmpty())
+    ExecutionAnalysis A(X);
+    if (!(X.Rmw & A.tfence().transitiveClosure()).isEmpty())
       return;
-    if (!(X.Rmw & X.fre().compose(X.coe())).isEmpty())
+    if (!(X.Rmw & A.fre().compose(A.coe())).isEmpty())
       return;
     ++Considered;
     EXPECT_TRUE(M.X86.consistent(X)) << X.dump();
@@ -134,7 +135,8 @@ TEST_P(HierarchySweep, X86ImpliesArmv8) {
   // semantics of exclusives straddling transaction boundaries
   // (TxnCancelsRMW), which x86's locked RMWs do not share.
   sweep(Vocabulary::forArch(Arch::X86), GetParam(), [&](const Execution &X) {
-    if (!(X.Rmw & X.tfence().transitiveClosure()).isEmpty())
+    if (!(X.Rmw & ExecutionAnalysis(X).tfence().transitiveClosure())
+             .isEmpty())
       return;
     if (M.X86.consistent(X)) {
       EXPECT_TRUE(M.Armv8.consistent(X)) << X.dump();

@@ -40,9 +40,9 @@ TEST(AugmentationTest, GrowMergeAndWrap) {
 TEST(AugmentationTest, EveryAugmentationAddsStxnEdges) {
   Execution X = shapes::rmwAcrossTxns(false);
   Vocabulary V = Vocabulary::forArch(Arch::Power);
-  Relation Before = X.stxn();
+  Relation Before = ExecutionAnalysis(X).stxn();
   for (const Execution &Y : txnAugmentations(X, V)) {
-    Relation After = Y.stxn();
+    Relation After = ExecutionAnalysis(Y).stxn();
     EXPECT_TRUE(Before.subsetOf(After));
     EXPECT_GT(After.numPairs(), Before.numPairs());
   }

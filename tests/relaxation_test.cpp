@@ -112,8 +112,8 @@ TEST(RelaxTest, DmbDowngradesToHalfBarriers) {
   for (const Execution &K : relaxOneStep(X, V)) {
     if (K.size() != X.size())
       continue;
-    Ld += !K.fences(FenceKind::DmbLd).empty();
-    St += !K.fences(FenceKind::DmbSt).empty();
+    Ld += !ExecutionAnalysis(K).fences(FenceKind::DmbLd).empty();
+    St += !ExecutionAnalysis(K).fences(FenceKind::DmbSt).empty();
   }
   EXPECT_EQ(Ld, 1u);
   EXPECT_EQ(St, 1u);

@@ -397,6 +397,25 @@ TEST(SessionCache, OverflowEvictsOnlyLeastRecentHalf) {
   EXPECT_EQ(C.stats().ProgramMisses, Misses + 1);
 }
 
+TEST(SessionCache, ZeroBoundCachesNothing) {
+  // A bound of 0 stores no program: each lookup parses afresh, and the
+  // overflow path (whose half-eviction needs at least one entry) is never
+  // entered.
+  SessionCache C(/*MaxPrograms=*/0);
+  auto A = C.program("thread 0\n  load x\n");
+  auto B = C.program("thread 0\n  store y 1\n");
+  auto Again = C.program("thread 0\n  load x\n");
+  ASSERT_TRUE(static_cast<bool>(*A));
+  ASSERT_TRUE(static_cast<bool>(*B));
+  EXPECT_NE(A.get(), Again.get());
+  EXPECT_EQ(A->Prog.Threads.size(), 1u);
+  SessionCache::Stats St = C.stats();
+  EXPECT_EQ(St.ProgramMisses, 3u);
+  EXPECT_EQ(St.ProgramHits, 0u);
+  EXPECT_EQ(St.ProgramsCached, 0u);
+  EXPECT_EQ(St.ProgramEvictions, 0u);
+}
+
 TEST(QueryEngine, CachedRunsMatchUncachedBytes) {
   // BatchOptions::Cache is verdict-neutral: same requests, same bytes,
   // jobs and cache state notwithstanding.
